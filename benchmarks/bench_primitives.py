@@ -2,8 +2,7 @@
 
 Not paper artifacts -- these pin the per-operation costs that the
 complexity analysis of Section 4.2 is built from: the O(n*m) residue
-scan, the exact toggle evaluation, and the O(k*m) vectorized fast-gain
-batch.  Useful for spotting performance regressions; these DO use
+scan, the exact toggle evaluation, and the gain engine's lane builds.  Useful for spotting performance regressions; these DO use
 pytest-benchmark's repeated rounds since each call is microseconds.
 """
 
@@ -11,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.actions import evaluate_toggle
-from repro.core.gain_engine import _BLOCK, ResidueBackend
+from repro.core.gain_engine import (
+    _BLOCK, estimate_lane, exact_context, exact_lane,
+)
 from repro.core.residue import mean_abs_residue
 from repro.obs.perf.workloads import make_primitives_payload
 
@@ -39,22 +40,6 @@ def test_exact_toggle_evaluation(benchmark, payload):
     assert volume > 0
 
 
-def test_fast_candidate_batch_16_clusters(benchmark, payload):
-    __, __, __, state = payload
-    new_res, new_vol, line_res, line_counts, widths = benchmark(
-        state.candidate_parts_batch, "row", 400
-    )
-    assert new_res.shape == (16,)
-    assert np.isfinite(new_res).all()
-    assert (widths > 0).all()
-
-
-def test_fast_candidate_single(benchmark, payload):
-    __, __, __, state = payload
-    residue, volume = benchmark(state.fast_candidate, "row", 400, 0)
-    assert np.isfinite(residue)
-
-
 def test_refresh_cluster(benchmark, payload):
     __, __, __, state = payload
     benchmark(state.refresh_cluster, 0)
@@ -63,31 +48,27 @@ def test_refresh_cluster(benchmark, payload):
 
 def test_exact_lane_full(benchmark, payload):
     __, __, __, state = payload
-    backend = ResidueBackend()
-    lane = benchmark(backend.exact_lane, state, "row", 0)
+    lane = benchmark(exact_lane, state, "row", 0)
     assert lane.new_residues.shape == (600,)
     assert np.isfinite(lane.new_residues).all()
 
 
 def test_exact_lane_block(benchmark, payload):
     __, __, __, state = payload
-    backend = ResidueBackend()
-    ctx = backend.exact_context(state, "row", 0)
+    ctx = exact_context(state, "row", 0)
     sel = np.arange(_BLOCK, dtype=np.intp)
-    lane = benchmark(backend.exact_lane, state, "row", 0, sel=sel, ctx=ctx)
+    lane = benchmark(exact_lane, state, "row", 0, sel=sel, ctx=ctx)
     assert lane.new_residues.shape == (_BLOCK,)
     assert np.isfinite(lane.new_residues).all()
 
 
 def test_exact_context_build(benchmark, payload):
     __, __, __, state = payload
-    backend = ResidueBackend()
-    ctx = benchmark(backend.exact_context, state, "row", 0)
+    ctx = benchmark(exact_context, state, "row", 0)
     assert ctx.m > 0
 
 
 def test_estimate_lane(benchmark, payload):
     __, __, __, state = payload
-    backend = ResidueBackend()
-    lane = benchmark(backend.estimate_lane, state, "row", 0)
+    lane = benchmark(estimate_lane, state, "row", 0)
     assert lane.new_residues.shape == (600,)

@@ -91,10 +91,6 @@ from .obs import (
     analyze_records,
     analyze_trace,
     diff_traces,
-    disable_profiling,
-    enable_profiling,
-    profile_report,
-    profiled,
     read_jsonl,
 )
 from .runtime import (
@@ -157,8 +153,6 @@ __all__ = [
     "clustering_report",
     "derived_matrix",
     "diff_traces",
-    "disable_profiling",
-    "enable_profiling",
     "figure4_cluster",
     "figure4_matrix",
     "fill_missing_with_random",
@@ -178,8 +172,6 @@ __all__ = [
     "pool_mining_results",
     "predict_entry",
     "prediction_error",
-    "profile_report",
-    "profiled",
     "read_jsonl",
     "recall_precision",
     "residue_matrix",

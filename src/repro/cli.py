@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -84,6 +85,28 @@ def _load_matrix(path: str) -> DataMatrix:
     if suffix == ".csv":
         return load_matrix_csv(path, header=False)
     raise SystemExit(f"unsupported matrix format: {path} (use .npz or .csv)")
+
+
+def _checked(
+    cast: Callable[[str], Any], ok: Callable[[Any], bool], what: str
+) -> Callable[[str], Any]:
+    """An argparse ``type=`` that parses with ``cast`` and rejects values
+    failing ``ok``, so bad flags exit 2 with a usage error."""
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in parse errors
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_POSITIVE_FLOAT = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a positive finite number"
+)
+_PROBABILITY = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +249,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
     ``docs/ROBUSTNESS.md``).  Exit code 3 signals graceful degradation:
     some restarts were lost after exhausting retries.
     """
-    matrix = _load_matrix(args.matrix)
+    try:
+        matrix = _load_matrix(args.matrix)
+    except ValueError as exc:
+        print(f"repro mine: error: {exc}", file=sys.stderr)
+        return 2
     supervised = (
         args.workers is not None
         or args.task_timeout is not None
@@ -772,16 +799,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     mine = sub.add_parser("mine", help="mine delta-clusters from a matrix")
     mine.add_argument("matrix", help=".npz or .csv matrix (empty cell = missing)")
-    mine.add_argument("--target", type=float, required=True,
+    mine.add_argument("--target", type=_POSITIVE_FLOAT, required=True,
                       help="residue target r (r-residue delta-clusters)")
-    mine.add_argument("--k", type=int, default=10)
-    mine.add_argument("--restarts", type=int, default=2)
+    mine.add_argument("--k", type=_POSITIVE_INT, default=10)
+    mine.add_argument("--restarts", type=_POSITIVE_INT, default=2)
     mine.add_argument("--max-clusters", type=int, default=None)
     mine.add_argument("--min-rows", type=int, default=3)
     mine.add_argument("--min-cols", type=int, default=3)
     mine.add_argument("--alpha", type=float, default=0.0,
                       help="occupancy threshold (Definition 3.1)")
-    mine.add_argument("--p", type=float, default=0.2,
+    mine.add_argument("--p", type=_PROBABILITY, default=0.2,
                       help="Phase-1 seed inclusion probability")
     mine.add_argument("--reseed-rounds", type=int, default=10)
     mine.add_argument("--seed", type=int, default=None)
@@ -799,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
         "any of these flags runs restarts as checkpointed, retried tasks "
         "on a process pool (exit code 3 = degraded result)",
     )
-    runtime.add_argument("--workers", type=int, default=None, metavar="N",
+    runtime.add_argument("--workers", type=_POSITIVE_INT, default=None,
+                         metavar="N",
                          help="worker processes for parallel restarts")
     runtime.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",

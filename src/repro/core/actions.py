@@ -9,8 +9,9 @@ negative-gain best actions too, relying on per-action snapshots to recover).
 
 This module provides the action record plus the *exact* evaluation path:
 re-computing the candidate submatrix residue from scratch, which is the
-O(n*m) approach the paper itself uses (Section 4.1).  The O(m) approximate
-path lives in :mod:`repro.core.floc` next to the caches it needs.
+O(n*m) approach the paper itself uses (Section 4.1).  FLOC itself scores
+candidates through the batched lanes of :mod:`repro.core.gain_engine`,
+which derive the same quantity from incremental sufficient statistics.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..obs.profiling import profiled
 from .residue import mean_abs_residue
 
 __all__ = ["ROW", "COL", "Action", "evaluate_toggle", "toggle_occupancy_ok"]
@@ -74,7 +74,6 @@ def _toggled(member: np.ndarray, index: int) -> np.ndarray:
     return out
 
 
-@profiled
 def evaluate_toggle(
     values: np.ndarray,
     row_member: np.ndarray,
@@ -114,7 +113,6 @@ def evaluate_toggle(
     return mean_abs_residue(sub), volume
 
 
-@profiled
 def toggle_occupancy_ok(
     mask: np.ndarray,
     row_member: np.ndarray,

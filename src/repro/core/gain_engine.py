@@ -1,25 +1,23 @@
 """Sweep-level batched gain engine: vectorised action scoring for FLOC.
 
 Phase 2 consults one gain per (slot, cluster) pair -- up to k * (M + N)
-candidate toggles per sweep.  The historical implementation evaluated
-each candidate with a scalar call (``exact_candidate``'s full-submatrix
-rescan, or a per-slot ``candidate_parts_batch``), leaving nearly all
-wall time in per-action Python loops.  This module replaces that with
-*lanes*: one lane is the vector of scores of **every slot of one kind
-against one cluster**, produced in a handful of NumPy passes.
+candidate toggles per sweep.  Scoring each candidate with its own scalar
+call (a full-submatrix rescan, or a per-slot frozen-bases fold) leaves
+nearly all wall time in per-action Python loops.  This module scores in
+*lanes* instead: one lane is the vector of scores of **every slot of one
+kind against one cluster**, produced in a handful of NumPy passes.
 
 Three layers (see DESIGN.md section "Batched gain engine"):
 
-**Scoring backends** (:class:`ScoringBackend`)
-    A backend knows how to score a lane under one coherence measure.
-    :class:`ResidueBackend` -- the delta-cluster mean-absolute-residue
-    measure -- is the first implementation; a lagged-coherence measure
-    (Shaham et al., PAPERS.md) can be registered beside it without
-    touching the engine.  Each backend offers an *estimate* lane
-    (frozen-bases fold, numerically identical to
-    :meth:`~repro.core.floc._State.candidate_parts_batch`) and an
-    *exact* lane (true after-toggle residue derived from the
-    incremental sufficient statistics -- no submatrix rescan).
+**Scoring functions** (:func:`estimate_lane`, :func:`exact_lane`)
+    Plain functions of the state's per-cluster sufficient statistics
+    under the paper's one measure, the mean absolute residue.  The
+    *estimate* lane freezes the cluster's bases (cheap; action ordering
+    and fast-mode moves); the *exact* lane is the true after-toggle
+    residue derived from the incremental statistics -- no submatrix
+    rescan.  :func:`exact_context` and :func:`exact_one` split the exact
+    lane into its candidate-independent half and a single-candidate
+    evaluation that is bit-identical to the lane's entry.
 
 **Vectorised policy** (:func:`gain_lane`, the blocking masks)
     Array forms of FLOC's ``_gain`` branch ladder and of the cheap
@@ -55,10 +53,7 @@ per candidate becomes O(n*m*log n) per *lane*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import (
-    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Type,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,22 +68,16 @@ __all__ = [
     "ExactContext",
     "GainEngine",
     "LaneScores",
-    "ResidueBackend",
-    "ScoringBackend",
+    "estimate_lane",
+    "exact_context",
+    "exact_lane",
+    "exact_one",
     "gain_lane",
-    "get_scoring_backend",
 ]
 
-try:  # Protocol is typing_extensions-free on every supported Python
-    from typing import Protocol
-except ImportError:  # pragma: no cover - Python < 3.8 is unsupported
-    Protocol = object  # type: ignore[assignment]
-
-# No ``np.errstate`` anywhere on the hot paths: every division below
-# (and in ``_State.candidate_parts_batch``) guards its denominator with
-# ``np.maximum(..., 1)``, so none can raise divide/invalid -- the
-# errstate context setup the scalar implementation paid per call is
-# simply gone.
+# No ``np.errstate`` on the hot paths: every division below guards its
+# denominator with ``np.maximum(..., 1)``, so none can raise
+# divide/invalid.
 
 
 @dataclass
@@ -110,492 +99,13 @@ class LaneScores:
     width: int
 
 
-class ScoringBackend(Protocol):
-    """One coherence measure, scored lane-at-a-time.
-
-    Implementations must be pure functions of the state's per-cluster
-    sufficient statistics: two calls on identical state return
-    bit-identical lanes (the engine's cache correctness depends on it).
-    ``estimate_lane`` freezes the cluster's bases (cheap, used for
-    action ordering and fast-mode moves); ``exact_lane`` computes the
-    true after-toggle score (default-mode moves).
-    """
-
-    name: str
-
-    def estimate_lane(self, state: "_State", kind: str, c: int) -> LaneScores:
-        ...  # pragma: no cover - protocol
-
-    def exact_lane(self, state: "_State", kind: str, c: int) -> LaneScores:
-        ...  # pragma: no cover - protocol
-
-
-class ResidueBackend:
-    """Mean-absolute-residue scoring (the paper's delta-cluster measure)."""
-
-    name = "residue"
-
-    # -- estimate: frozen-bases fold ----------------------------------
-    def estimate_lane(self, state: "_State", kind: str, c: int) -> LaneScores:
-        """All-slots-one-cluster transpose of ``candidate_parts_batch``.
-
-        Numerically identical, element for element, to the per-slot
-        batch call (enforced by ``tests/test_gain_engine.py``), so the
-        weighted ordering consumes the same gains -- and therefore the
-        same RNG stream -- as the per-slot implementation it replaces.
-        """
-        if kind == ROW:
-            filled, mask = state.filled, state.mask
-            member = state.col_member[c]
-            base_sums, base_counts = state.col_sums[c], state.col_counts[c]
-            line_sums = state.row_sums[c]
-            line_counts = state.row_counts[c]
-            line_counts_f = state.row_counts_f[c]
-            removing = state.row_member[c]
-        else:
-            filled, mask = state.filled_T, state.mask_T
-            member = state.row_member[c]
-            base_sums, base_counts = state.row_sums[c], state.row_counts[c]
-            line_sums = state.col_sums[c]
-            line_counts = state.col_counts[c]
-            line_counts_f = state.col_counts_f[c]
-            removing = state.col_member[c]
-
-        volume = state.volumes_f[c]
-        residue = state.residues[c]
-
-        line_base = line_sums / np.maximum(line_counts_f, 1.0)
-        cross_base = np.where(
-            base_counts > 0,
-            base_sums / np.maximum(base_counts, 1),
-            0.0,
-        )
-        total = (base_sums * member).sum()
-        count = (base_counts * member).sum()
-        grand = np.where(count > 0, total / np.maximum(count, 1), 0.0)
-
-        # In-place passes over the one (S, base) temporary; the op order
-        # matches ``candidate_parts_batch`` exactly (bit-identity with
-        # the per-slot batch is load-bearing: it fixes the RNG stream).
-        deviations = filled - line_base[:, None]
-        deviations -= cross_base[None, :]
-        deviations += grand
-        np.abs(deviations, out=deviations)
-        relevant = member[None, :] & mask
-        deviations *= relevant
-        line_residues = deviations.sum(axis=1)
-        line_residues = np.where(
-            line_counts > 0, line_residues / np.maximum(line_counts_f, 1.0), 0.0
-        )
-
-        add_volumes = volume + line_counts_f
-        remove_volumes = volume - line_counts_f
-        add_residues = (
-            volume * residue + line_counts_f * line_residues
-        ) / np.maximum(add_volumes, 1.0)
-        remove_residues = np.maximum(
-            (volume * residue - line_counts_f * line_residues)
-            / np.maximum(remove_volumes, 1.0),
-            0.0,
-        )
-        new_volumes = np.where(removing, remove_volumes, add_volumes)
-        new_residues = np.where(removing, remove_residues, add_residues)
-
-        untouched = line_counts == 0
-        new_volumes = np.where(untouched, volume, new_volumes)
-        new_residues = np.where(untouched, residue, new_residues)
-        emptied = removing & ~untouched & (remove_volumes <= 0)
-        new_volumes = np.where(emptied, 0.0, new_volumes)
-        new_residues = np.where(emptied, 0.0, new_residues)
-        line_residues = np.where(untouched | emptied, 0.0, line_residues)
-
-        w = state.work
-        if w is not None:
-            w.batch_evals += 1
-            w.toggle_evals += line_counts.size
-            w.cells_scanned += int(line_counts.sum())
-        return LaneScores(
-            new_residues=new_residues,
-            new_volumes=new_volumes.astype(np.int64),
-            line_residues=line_residues,
-            line_counts=line_counts,
-            width=int(member.sum()),
-        )
-
-    # -- exact: sorted-prefix SAD over centred residuals --------------
-    def exact_lane(
-        self,
-        state: "_State",
-        kind: str,
-        c: int,
-        sel: Optional[np.ndarray] = None,
-        ctx: Optional["ExactContext"] = None,
-    ) -> LaneScores:
-        """True after-toggle residue of every slot, without rescans.
-
-        Derivation (row lane; column lanes run the same code on the
-        transposed state).  Toggling row ``i`` leaves every retained
-        row's mean ``a_r`` unchanged; the member columns' means become
-        ``b'_j = (S_j +- d_ij) / (n_j +- 1)`` and the grand mean
-        ``g' = T' / V'`` -- all available from the cached sufficient
-        statistics.  A retained cell's residual is then
-        ``|E_rj - t'_j|`` with ``E_rj = d_rj - a_r`` and
-        ``t'_j = b'_j - g'``: a sum of absolute deviations about a
-        pivot, answered for all candidates at once from each column's
-        sorted residuals + prefix sums.  The toggled row's own cells
-        contribute ``+-sum_j |E_ij - t'_j|`` on top.
-
-        The candidate-independent half (gathers, bases, sorted table)
-        lives in :meth:`exact_context` and may be passed in via ``ctx``
-        to amortise it across several builds of one cluster epoch.
-        ``sel`` restricts the candidate block to a subset of slots (in
-        ``sel`` order): every per-candidate value is bit-identical to
-        the corresponding entry of the full lane, because all candidate
-        arrays are C-contiguous row blocks and every per-candidate
-        reduction runs over one contiguous length-``m`` row either way.
-        """
-        if ctx is None:
-            ctx = self.exact_context(state, kind, c)
-        volume = ctx.volume
-        residue = ctx.residue
-        m = ctx.m
-        if sel is None:
-            removing = ctx.cand_member
-            line_sums = ctx.line_sums
-            line_counts = ctx.line_counts
-            line_counts_f = ctx.line_counts_f
-        else:
-            removing = ctx.cand_member[sel]
-            line_sums = ctx.line_sums[sel]
-            line_counts = ctx.line_counts[sel]
-            line_counts_f = ctx.line_counts_f[sel]
-        n_out = line_counts.size
-
-        lcpos = line_counts > 0
-        rem_volumes = volume - line_counts
-        emptied = removing & lcpos & (rem_volumes <= 0)
-        active = lcpos & ~emptied  # == ~(untouched | emptied)
-
-        w = state.work
-        if w is not None:
-            w.batch_evals += 1
-            w.lane_builds += 1
-            w.toggle_evals += n_out
-            w.cells_scanned += int(line_counts.sum())
-
-        # One branch-free volume pass covers every inactive case too: an
-        # untouched line has line_counts == 0 on both sides (volume
-        # survives), and an emptied removal has rem_volumes == 0 (every
-        # specified cell of the cluster sat on the toggled line).
-        new_volumes = np.where(removing, rem_volumes, volume + line_counts)
-        new_residues = np.where(emptied, 0.0, residue)
-        if m == 0 or not active.any():
-            return LaneScores(
-                new_residues=new_residues,
-                new_volumes=new_volumes,
-                line_residues=np.zeros(n_out),
-                line_counts=line_counts,
-                width=m,
-            )
-
-        sign = np.where(removing, -1.0, 1.0)
-        # C-contiguous gathers of the base-member columns, full or
-        # ``sel``-restricted: either way each candidate occupies one
-        # contiguous length-m row, so every per-candidate reduction
-        # accumulates identically (bit for bit) in both shapes.
-        jidx = ctx.jidx
-        if sel is None:
-            sub_filled = ctx.filled.take(jidx, axis=1)    # (n_out, m)
-            sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
-        else:
-            cells = np.ix_(sel, jidx)
-            sub_filled = ctx.filled[cells]
-            sub_mask_f = ctx.mask[cells].astype(np.float64)
-        base_counts_f = ctx.base_counts_f
-
-        lden = np.maximum(line_counts_f, 1.0)
-        line_base = line_sums / lden
-
-        # Centred residuals of every line against its own mean.
-        # ``filled`` is zero at unspecified cells, so masking happens
-        # once, where each consumer needs it.
-        centred = sub_filled - line_base[:, None]         # (n_out, m)
-
-        # The toggled line's own frozen-bases residue (the r-residue
-        # admission input -- same definition as the estimate lane).
-        # In-place passes over one temporary, same op order.
-        dev = centred - ctx.cross_base[None, :]
-        dev += ctx.grand0
-        np.abs(dev, out=dev)
-        dev *= sub_mask_f
-        line_residues = np.where(active, dev.sum(axis=1) / lden, 0.0)
-
-        table = ctx.table
-        prefix = ctx.prefix
-        col_off = ctx.col_off
-        n = table.shape[1]
-
-        # Candidate-specific bases, all candidates at once.  The int
-        # volumes convert exactly (far below 2**53), so the float view
-        # is the same value the sign-fold arithmetic used to produce;
-        # the +-1 membership folds are one sign-broadcast multiply each
-        # (``x * -1.0 == -x`` bitwise), no bool/int broadcast casts.
-        new_vol_f = new_volumes.astype(np.float64)        # (n_out,)
-        denom_v = np.maximum(new_vol_f, 1.0)
-        grand_new = (ctx.total + sign * line_sums) / denom_v
-        sign_col = sign[:, None]
-        base_new_counts = sign_col * sub_mask_f
-        base_new_counts += base_counts_f
-        base_new_sums = sign_col * sub_filled
-        base_new_sums += ctx.base_sub_sums
-        # ``base / max(count, 1)`` then a rare explicit zero where the
-        # base line lost its last specified cell: the same values as the
-        # branchless np.where form, without its full-size select pass.
-        pivots = base_new_sums / np.maximum(base_new_counts, 1.0)
-        dead = base_new_counts <= 0
-        if dead.any():
-            pivots[dead] = 0.0
-        pivots -= grand_new[:, None]                      # (n_out, m)
-
-        # Rank of each candidate's pivot in each base line's sorted
-        # residuals (count of residuals strictly below the pivot).  Both
-        # strategies produce the same integer ranks; the cost of each is
-        # its Python-level dispatch count, so pick the shorter loop:
-        # with fewer member lines than base lines (column lanes)
-        # accumulate one whole-lane comparison per member line,
-        # otherwise binary-search each base line's sorted row (m calls
-        # of n_out queries -- m is small for row lanes).  The compare
-        # operands are copied contiguous first: strided broadcast/needle
-        # inner loops cost more than the copies.
-        if n <= m:
-            tab_rows = np.ascontiguousarray(table.T)      # (n, m)
-            p = np.zeros((n_out, m), dtype=np.int64)
-            for r in range(n):
-                p += tab_rows[r] < pivots
-        else:
-            pivots_t = np.ascontiguousarray(pivots.T)     # (m, n_out)
-            p = np.empty((n_out, m), dtype=np.intp)
-            pt = p.T
-            for j in range(m):
-                pt[j] = table[j].searchsorted(pivots_t[j], side="left")
-        # SAD of each base line's sorted residuals about each
-        # candidate's pivot: sad_j = t*(2p - cnt) + total_j - 2*prefix[p],
-        # accumulated in place (same op tree as the spelled-out form).
-        pre = prefix.take(col_off + p)                    # (n_out, m)
-        q = 2.0 * p
-        q -= base_counts_f
-        q *= pivots
-        pre *= 2.0
-        np.subtract(ctx.col_totals, pre, out=pre)
-        q += pre
-        sad = q.sum(axis=1)
-
-        # The toggled line's own cells: added lines contribute them,
-        # removed lines' contributions leave the member-line SAD.
-        own = centred - pivots
-        np.abs(own, out=own)
-        own *= sub_mask_f
-        own_sums = own.sum(axis=1)
-
-        np.multiply(own_sums, sign, out=own_sums)
-        own_sums += sad
-        candidate_res = np.maximum(own_sums / denom_v, 0.0)
-        new_residues = np.where(active, candidate_res, new_residues)
-        return LaneScores(
-            new_residues=new_residues,
-            new_volumes=new_volumes,
-            line_residues=line_residues,
-            line_counts=line_counts,
-            width=m,
-        )
-
-    # -- exact: one candidate, lane-identical arithmetic ---------------
-    def exact_context(
-        self, state: "_State", kind: str, c: int
-    ) -> "ExactContext":
-        """Candidate-independent half of a scalar exact evaluation.
-
-        Everything here depends only on the cluster's current state, so
-        the engine caches one context per (kind, cluster) modification
-        epoch and amortises the O(V log n) table build over every
-        :meth:`exact_one` of the epoch.
-        """
-        if kind == ROW:
-            filled, mask = state.filled, state.mask
-            cand_member = state.row_member[c]
-            base_member = state.col_member[c]
-            line_sums = state.row_sums[c]
-            line_counts = state.row_counts[c]
-            line_counts_f = state.row_counts_f[c]
-            base_sums_all, base_counts_all = state.col_sums[c], state.col_counts[c]
-        else:
-            filled, mask = state.filled_T, state.mask_T
-            cand_member = state.col_member[c]
-            base_member = state.row_member[c]
-            line_sums = state.col_sums[c]
-            line_counts = state.col_counts[c]
-            line_counts_f = state.col_counts_f[c]
-            base_sums_all, base_counts_all = state.row_sums[c], state.row_counts[c]
-
-        volume = int(state.volumes[c])
-        residue = float(state.residues[c])
-        jidx = np.flatnonzero(base_member)
-        m = jidx.size
-
-        w = state.work
-        if w is not None:
-            w.residue_evals += 1
-            w.cells_scanned += volume
-
-        ctx = ExactContext()
-        ctx.filled = filled
-        ctx.mask = mask
-        ctx.cand_member = cand_member
-        ctx.line_sums = line_sums
-        ctx.line_counts = line_counts
-        ctx.line_counts_f = line_counts_f
-        ctx.volume = volume
-        ctx.residue = residue
-        ctx.jidx = jidx
-        ctx.m = m
-        if m == 0:
-            return ctx
-
-        base_sub_sums = base_sums_all[jidx]
-        base_sub_counts = base_counts_all[jidx]
-        base_counts_f = base_sub_counts.astype(np.float64)
-        ctx.base_sub_sums = base_sub_sums
-        ctx.base_counts_f = base_counts_f
-        ctx.cross_base = np.where(
-            base_sub_counts > 0,
-            base_sub_sums / np.maximum(base_counts_f, 1.0),
-            0.0,
-        )
-        # The cluster total is exactly the sum of its member base sums.
-        total = float(base_sub_sums.sum())
-        ctx.total = total
-        ctx.grand0 = total / volume if volume else 0.0
-
-        # Sorted residual table of the member lines, one (contiguous)
-        # row per member of the base axis; +inf-padded so every base
-        # line's specified residuals occupy its sorted prefix.  The inf
-        # padding may leak into the prefix tail, but every read sits at
-        # a rank <= the line's specified count, before the first inf.
-        ridx = np.flatnonzero(cand_member)
-        n = ridx.size
-        cells = np.ix_(ridx, jidx)
-        mem_filled = filled[cells]                        # (n, m)
-        mem_mask = mask[cells]
-        mem_base = line_sums[ridx] / np.maximum(line_counts_f[ridx], 1.0)
-        mem_centred = mem_filled - mem_base[:, None]
-        table = np.ascontiguousarray(
-            np.where(mem_mask, mem_centred, np.inf).T
-        )                                                 # (m, n)
-        table.sort(axis=1)
-        prefix = np.zeros((m, n + 1))
-        np.cumsum(table, axis=1, out=prefix[:, 1:])
-        col_n = base_sub_counts.astype(np.intp)
-        col_off = np.arange(m) * (n + 1)
-        ctx.table = table
-        ctx.prefix = prefix
-        ctx.col_off = col_off
-        ctx.col_totals = prefix.take(col_off + col_n)
-        return ctx
-
-    def exact_one(
-        self,
-        state: "_State",
-        kind: str,
-        index: int,
-        c: int,
-        ctx: Optional["ExactContext"] = None,
-    ) -> Tuple[float, int, float]:
-        """Exact after-toggle score of a single candidate.
-
-        Returns ``(new_residue, new_volume, line_residue)`` --
-        **bit-identical** to the ``index`` entries of
-        :meth:`exact_lane`'s output arrays.  Every expression mirrors
-        the lane's op tree exactly (same sorted-prefix SAD formula, same
-        reduction shapes and layouts), so the engine may serve a consult
-        from either path interchangeably; the lazy-vs-eager run-identity
-        test in ``tests/test_gain_engine.py`` depends on it.  With a
-        cached ``ctx`` the cost is O(m) -- cheaper than the lane's O(S)
-        candidate block whenever only a few of the S slots are consulted
-        before the cluster changes again.
-        """
-        if ctx is None:
-            ctx = self.exact_context(state, kind, c)
-        volume = ctx.volume
-        residue = ctx.residue
-        line_count = int(ctx.line_counts[index])
-        removing = bool(ctx.cand_member[index])
-        rem_volume = volume - line_count
-        emptied = removing and line_count > 0 and rem_volume <= 0
-        active = line_count > 0 and not emptied
-        new_volume = rem_volume if removing else volume + line_count
-
-        w = state.work
-        if w is not None:
-            w.toggle_evals += 1
-            w.cells_scanned += line_count
-
-        m = ctx.m
-        if m == 0 or not active:
-            return (0.0 if emptied else residue), new_volume, 0.0
-
-        jidx = ctx.jidx
-        row_filled = ctx.filled[index].take(jidx)         # (m,) contiguous
-        row_mask_f = ctx.mask[index].take(jidx).astype(np.float64)
-
-        lden = max(float(ctx.line_counts_f[index]), 1.0)
-        line_base = float(ctx.line_sums[index]) / lden
-        centred = row_filled - line_base                  # (m,)
-        dev = centred - ctx.cross_base
-        dev += ctx.grand0
-        np.abs(dev, out=dev)
-        dev *= row_mask_f
-        # The lane's per-candidate reductions run over one contiguous
-        # length-m row each (ctx gathers are C-ordered), so the plain
-        # 1-D pairwise sum here is the same accumulation, bit for bit.
-        line_residue = float(dev.sum()) / lden
-
-        sign = -1.0 if removing else 1.0
-        denom_v = max(float(new_volume), 1.0)
-        grand_new = (ctx.total + sign * float(ctx.line_sums[index])) / denom_v
-        bnc = ctx.base_counts_f + sign * row_mask_f
-        bns = ctx.base_sub_sums + sign * row_filled
-        pivots = np.where(bnc > 0, bns / np.maximum(bnc, 1.0), 0.0)
-        pivots -= grand_new                               # (m,)
-
-        # Strict rank of the pivot per member line -- one broadcast
-        # count (== the lane's accumulate/searchsorted ranks).
-        p = (ctx.table < pivots[:, None]).sum(axis=1)
-        pre = ctx.prefix.take(ctx.col_off + p)
-        q = 2.0 * p
-        q -= ctx.base_counts_f
-        q *= pivots
-        pre *= 2.0
-        np.subtract(ctx.col_totals, pre, out=pre)
-        q += pre
-        sad = q.sum()
-
-        own = centred - pivots
-        np.abs(own, out=own)
-        own *= row_mask_f
-        own_sum = own.sum()
-        own_sum = own_sum * sign
-        own_sum += sad
-        new_residue = float(np.maximum(own_sum / denom_v, 0.0))
-        return new_residue, new_volume, line_residue
-
-
 class ExactContext:
-    """Cluster-epoch scratch of :meth:`ResidueBackend.exact_one`.
+    """Cluster-epoch scratch of :func:`exact_lane` and :func:`exact_one`.
 
-    Built by :meth:`ResidueBackend.exact_context`; valid until the
-    cluster's modification stamp moves (the engine keys its cache on
-    exactly that).  ``m == 0`` contexts carry only the header fields --
-    every candidate of such a cluster takes the early-out path.
+    Built by :func:`exact_context`; valid until the cluster's
+    modification stamp moves (the engine keys its cache on exactly
+    that).  ``m == 0`` contexts carry only the header fields -- every
+    candidate of such a cluster takes the early-out path.
     """
 
     __slots__ = (
@@ -606,25 +116,458 @@ class ExactContext:
     )
 
 
-#: Known scoring backends by name, immutable by design: ``repro.core``
-#: holds no runtime-mutable module state (lint rule DCL006).  A new
-#: measure (e.g. the fuzzy-lagged coherence of the ROADMAP) is either
-#: added to this table in its PR or injected directly through
-#: ``GainEngine(..., backend=...)`` -- the protocol, not the table, is
-#: the extension point.
-SCORING_BACKENDS: Mapping[str, Type] = MappingProxyType(
-    {"residue": ResidueBackend}
-)
+# -- scoring: frozen-bases estimate lane -------------------------------
 
+def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
+    """Frozen-bases residue estimate of every slot against cluster ``c``.
 
-def get_scoring_backend(name: str) -> Type:
-    try:
-        return SCORING_BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCORING_BACKENDS))
-        raise KeyError(
-            f"unknown scoring backend {name!r}; registered: {known}"
-        ) from None
+    Numerically identical, element for element, to the per-slot
+    all-clusters batch oracle (enforced by ``tests/test_gain_engine.py``
+    against ``tests/oracles.py``), so the weighted ordering consumes
+    the same gains -- and therefore the same RNG stream -- as the
+    per-slot implementation it replaced.
+    """
+    if kind == ROW:
+        filled, mask = state.filled, state.mask
+        member = state.col_member[c]
+        base_sums, base_counts = state.col_sums[c], state.col_counts[c]
+        line_sums = state.row_sums[c]
+        line_counts = state.row_counts[c]
+        line_counts_f = state.row_counts_f[c]
+        removing = state.row_member[c]
+    else:
+        filled, mask = state.filled_T, state.mask_T
+        member = state.row_member[c]
+        base_sums, base_counts = state.row_sums[c], state.row_counts[c]
+        line_sums = state.col_sums[c]
+        line_counts = state.col_counts[c]
+        line_counts_f = state.col_counts_f[c]
+        removing = state.col_member[c]
+
+    volume = state.volumes_f[c]
+    residue = state.residues[c]
+
+    line_base = line_sums / np.maximum(line_counts_f, 1.0)
+    cross_base = np.where(
+        base_counts > 0,
+        base_sums / np.maximum(base_counts, 1),
+        0.0,
+    )
+    total = (base_sums * member).sum()
+    count = (base_counts * member).sum()
+    grand = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+
+    # In-place passes over the one (S, base) temporary; the op order
+    # matches the per-slot batch oracle exactly (bit-identity with it
+    # is load-bearing: it fixes the RNG stream).
+    deviations = filled - line_base[:, None]
+    deviations -= cross_base[None, :]
+    deviations += grand
+    np.abs(deviations, out=deviations)
+    relevant = member[None, :] & mask
+    deviations *= relevant
+    line_residues = deviations.sum(axis=1)
+    line_residues = np.where(
+        line_counts > 0, line_residues / np.maximum(line_counts_f, 1.0), 0.0
+    )
+
+    add_volumes = volume + line_counts_f
+    remove_volumes = volume - line_counts_f
+    add_residues = (
+        volume * residue + line_counts_f * line_residues
+    ) / np.maximum(add_volumes, 1.0)
+    remove_residues = np.maximum(
+        (volume * residue - line_counts_f * line_residues)
+        / np.maximum(remove_volumes, 1.0),
+        0.0,
+    )
+    new_volumes = np.where(removing, remove_volumes, add_volumes)
+    new_residues = np.where(removing, remove_residues, add_residues)
+
+    untouched = line_counts == 0
+    new_volumes = np.where(untouched, volume, new_volumes)
+    new_residues = np.where(untouched, residue, new_residues)
+    emptied = removing & ~untouched & (remove_volumes <= 0)
+    new_volumes = np.where(emptied, 0.0, new_volumes)
+    new_residues = np.where(emptied, 0.0, new_residues)
+    line_residues = np.where(untouched | emptied, 0.0, line_residues)
+
+    w = state.work
+    if w is not None:
+        w.batch_evals += 1
+        w.toggle_evals += line_counts.size
+        w.cells_scanned += int(line_counts.sum())
+    return LaneScores(
+        new_residues=new_residues,
+        new_volumes=new_volumes.astype(np.int64),
+        line_residues=line_residues,
+        line_counts=line_counts,
+        width=int(member.sum()),
+    )
+
+# -- scoring: exact lane, sorted-prefix SAD over centred residuals -----
+
+def exact_lane(
+    state: "_State",
+    kind: str,
+    c: int,
+    sel: Optional[np.ndarray] = None,
+    ctx: Optional[ExactContext] = None,
+) -> LaneScores:
+    """True after-toggle residue of every slot, without rescans.
+
+    Derivation (row lane; column lanes run the same code on the
+    transposed state).  Toggling row ``i`` leaves every retained
+    row's mean ``a_r`` unchanged; the member columns' means become
+    ``b'_j = (S_j +- d_ij) / (n_j +- 1)`` and the grand mean
+    ``g' = T' / V'`` -- all available from the cached sufficient
+    statistics.  A retained cell's residual is then
+    ``|E_rj - t'_j|`` with ``E_rj = d_rj - a_r`` and
+    ``t'_j = b'_j - g'``: a sum of absolute deviations about a
+    pivot, answered for all candidates at once from each column's
+    sorted residuals + prefix sums.  The toggled row's own cells
+    contribute ``+-sum_j |E_ij - t'_j|`` on top.
+
+    The candidate-independent half (gathers, bases, sorted table)
+    lives in :func:`exact_context` and may be passed in via ``ctx``
+    to amortise it across several builds of one cluster epoch.
+    ``sel`` restricts the candidate block to a subset of slots (in
+    ``sel`` order): every per-candidate value is bit-identical to
+    the corresponding entry of the full lane, because all candidate
+    arrays are C-contiguous row blocks and every per-candidate
+    reduction runs over one contiguous length-``m`` row either way.
+    """
+    if ctx is None:
+        ctx = exact_context(state, kind, c)
+    volume = ctx.volume
+    residue = ctx.residue
+    m = ctx.m
+    if sel is None:
+        removing = ctx.cand_member
+        line_sums = ctx.line_sums
+        line_counts = ctx.line_counts
+        line_counts_f = ctx.line_counts_f
+    else:
+        removing = ctx.cand_member[sel]
+        line_sums = ctx.line_sums[sel]
+        line_counts = ctx.line_counts[sel]
+        line_counts_f = ctx.line_counts_f[sel]
+    n_out = line_counts.size
+
+    lcpos = line_counts > 0
+    rem_volumes = volume - line_counts
+    emptied = removing & lcpos & (rem_volumes <= 0)
+    active = lcpos & ~emptied  # == ~(untouched | emptied)
+
+    w = state.work
+    if w is not None:
+        w.batch_evals += 1
+        w.lane_builds += 1
+        w.toggle_evals += n_out
+        w.cells_scanned += int(line_counts.sum())
+
+    # One branch-free volume pass covers every inactive case too: an
+    # untouched line has line_counts == 0 on both sides (volume
+    # survives), and an emptied removal has rem_volumes == 0 (every
+    # specified cell of the cluster sat on the toggled line).
+    new_volumes = np.where(removing, rem_volumes, volume + line_counts)
+    new_residues = np.where(emptied, 0.0, residue)
+    if m == 0 or not active.any():
+        return LaneScores(
+            new_residues=new_residues,
+            new_volumes=new_volumes,
+            line_residues=np.zeros(n_out),
+            line_counts=line_counts,
+            width=m,
+        )
+
+    sign = np.where(removing, -1.0, 1.0)
+    # C-contiguous gathers of the base-member columns, full or
+    # ``sel``-restricted: either way each candidate occupies one
+    # contiguous length-m row, so every per-candidate reduction
+    # accumulates identically (bit for bit) in both shapes.
+    jidx = ctx.jidx
+    if sel is None:
+        sub_filled = ctx.filled.take(jidx, axis=1)    # (n_out, m)
+        sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
+    else:
+        cells = np.ix_(sel, jidx)
+        sub_filled = ctx.filled[cells]
+        sub_mask_f = ctx.mask[cells].astype(np.float64)
+    base_counts_f = ctx.base_counts_f
+
+    lden = np.maximum(line_counts_f, 1.0)
+    line_base = line_sums / lden
+
+    # Centred residuals of every line against its own mean.
+    # ``filled`` is zero at unspecified cells, so masking happens
+    # once, where each consumer needs it.
+    centred = sub_filled - line_base[:, None]         # (n_out, m)
+
+    # The toggled line's own frozen-bases residue (the r-residue
+    # admission input -- same definition as the estimate lane).
+    # In-place passes over one temporary, same op order.
+    dev = centred - ctx.cross_base[None, :]
+    dev += ctx.grand0
+    np.abs(dev, out=dev)
+    dev *= sub_mask_f
+    line_residues = np.where(active, dev.sum(axis=1) / lden, 0.0)
+
+    table = ctx.table
+    prefix = ctx.prefix
+    col_off = ctx.col_off
+    n = table.shape[1]
+
+    # Candidate-specific bases, all candidates at once.  The int
+    # volumes convert exactly (far below 2**53), so the float view
+    # is the same value the sign-fold arithmetic used to produce;
+    # the +-1 membership folds are one sign-broadcast multiply each
+    # (``x * -1.0 == -x`` bitwise), no bool/int broadcast casts.
+    new_vol_f = new_volumes.astype(np.float64)        # (n_out,)
+    denom_v = np.maximum(new_vol_f, 1.0)
+    grand_new = (ctx.total + sign * line_sums) / denom_v
+    sign_col = sign[:, None]
+    base_new_counts = sign_col * sub_mask_f
+    base_new_counts += base_counts_f
+    base_new_sums = sign_col * sub_filled
+    base_new_sums += ctx.base_sub_sums
+    # ``base / max(count, 1)`` then a rare explicit zero where the
+    # base line lost its last specified cell: the same values as the
+    # branchless np.where form, without its full-size select pass.
+    pivots = base_new_sums / np.maximum(base_new_counts, 1.0)
+    dead = base_new_counts <= 0
+    if dead.any():
+        pivots[dead] = 0.0
+    pivots -= grand_new[:, None]                      # (n_out, m)
+
+    # Rank of each candidate's pivot in each base line's sorted
+    # residuals (count of residuals strictly below the pivot).  Both
+    # strategies produce the same integer ranks; the cost of each is
+    # its Python-level dispatch count, so pick the shorter loop:
+    # with fewer member lines than base lines (column lanes)
+    # accumulate one whole-lane comparison per member line,
+    # otherwise binary-search each base line's sorted row (m calls
+    # of n_out queries -- m is small for row lanes).  The compare
+    # operands are copied contiguous first: strided broadcast/needle
+    # inner loops cost more than the copies.
+    if n <= m:
+        tab_rows = np.ascontiguousarray(table.T)      # (n, m)
+        p = np.zeros((n_out, m), dtype=np.int64)
+        for r in range(n):
+            p += tab_rows[r] < pivots
+    else:
+        pivots_t = np.ascontiguousarray(pivots.T)     # (m, n_out)
+        p = np.empty((n_out, m), dtype=np.intp)
+        pt = p.T
+        for j in range(m):
+            pt[j] = table[j].searchsorted(pivots_t[j], side="left")
+    # SAD of each base line's sorted residuals about each
+    # candidate's pivot: sad_j = t*(2p - cnt) + total_j - 2*prefix[p],
+    # accumulated in place (same op tree as the spelled-out form).
+    pre = prefix.take(col_off + p)                    # (n_out, m)
+    q = 2.0 * p
+    q -= base_counts_f
+    q *= pivots
+    pre *= 2.0
+    np.subtract(ctx.col_totals, pre, out=pre)
+    q += pre
+    sad = q.sum(axis=1)
+
+    # The toggled line's own cells: added lines contribute them,
+    # removed lines' contributions leave the member-line SAD.
+    own = centred - pivots
+    np.abs(own, out=own)
+    own *= sub_mask_f
+    own_sums = own.sum(axis=1)
+
+    np.multiply(own_sums, sign, out=own_sums)
+    own_sums += sad
+    candidate_res = np.maximum(own_sums / denom_v, 0.0)
+    new_residues = np.where(active, candidate_res, new_residues)
+    return LaneScores(
+        new_residues=new_residues,
+        new_volumes=new_volumes,
+        line_residues=line_residues,
+        line_counts=line_counts,
+        width=m,
+    )
+
+# -- scoring: one candidate, lane-identical arithmetic -----------------
+
+def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
+    """Candidate-independent half of a scalar exact evaluation.
+
+    Everything here depends only on the cluster's current state, so
+    the engine caches one context per (kind, cluster) modification
+    epoch and amortises the O(V log n) table build over every
+    :func:`exact_one` of the epoch.
+    """
+    if kind == ROW:
+        filled, mask = state.filled, state.mask
+        cand_member = state.row_member[c]
+        base_member = state.col_member[c]
+        line_sums = state.row_sums[c]
+        line_counts = state.row_counts[c]
+        line_counts_f = state.row_counts_f[c]
+        base_sums_all, base_counts_all = state.col_sums[c], state.col_counts[c]
+    else:
+        filled, mask = state.filled_T, state.mask_T
+        cand_member = state.col_member[c]
+        base_member = state.row_member[c]
+        line_sums = state.col_sums[c]
+        line_counts = state.col_counts[c]
+        line_counts_f = state.col_counts_f[c]
+        base_sums_all, base_counts_all = state.row_sums[c], state.row_counts[c]
+
+    volume = int(state.volumes[c])
+    residue = float(state.residues[c])
+    jidx = np.flatnonzero(base_member)
+    m = jidx.size
+
+    w = state.work
+    if w is not None:
+        w.residue_evals += 1
+        w.cells_scanned += volume
+
+    ctx = ExactContext()
+    ctx.filled = filled
+    ctx.mask = mask
+    ctx.cand_member = cand_member
+    ctx.line_sums = line_sums
+    ctx.line_counts = line_counts
+    ctx.line_counts_f = line_counts_f
+    ctx.volume = volume
+    ctx.residue = residue
+    ctx.jidx = jidx
+    ctx.m = m
+    if m == 0:
+        return ctx
+
+    base_sub_sums = base_sums_all[jidx]
+    base_sub_counts = base_counts_all[jidx]
+    base_counts_f = base_sub_counts.astype(np.float64)
+    ctx.base_sub_sums = base_sub_sums
+    ctx.base_counts_f = base_counts_f
+    ctx.cross_base = np.where(
+        base_sub_counts > 0,
+        base_sub_sums / np.maximum(base_counts_f, 1.0),
+        0.0,
+    )
+    # The cluster total is exactly the sum of its member base sums.
+    total = float(base_sub_sums.sum())
+    ctx.total = total
+    ctx.grand0 = total / volume if volume else 0.0
+
+    # Sorted residual table of the member lines, one (contiguous)
+    # row per member of the base axis; +inf-padded so every base
+    # line's specified residuals occupy its sorted prefix.  The inf
+    # padding may leak into the prefix tail, but every read sits at
+    # a rank <= the line's specified count, before the first inf.
+    ridx = np.flatnonzero(cand_member)
+    n = ridx.size
+    cells = np.ix_(ridx, jidx)
+    mem_filled = filled[cells]                        # (n, m)
+    mem_mask = mask[cells]
+    mem_base = line_sums[ridx] / np.maximum(line_counts_f[ridx], 1.0)
+    mem_centred = mem_filled - mem_base[:, None]
+    table = np.ascontiguousarray(
+        np.where(mem_mask, mem_centred, np.inf).T
+    )                                                 # (m, n)
+    table.sort(axis=1)
+    prefix = np.zeros((m, n + 1))
+    np.cumsum(table, axis=1, out=prefix[:, 1:])
+    col_n = base_sub_counts.astype(np.intp)
+    col_off = np.arange(m) * (n + 1)
+    ctx.table = table
+    ctx.prefix = prefix
+    ctx.col_off = col_off
+    ctx.col_totals = prefix.take(col_off + col_n)
+    return ctx
+
+def exact_one(
+    state: "_State",
+    kind: str,
+    index: int,
+    c: int,
+    ctx: Optional[ExactContext] = None,
+) -> Tuple[float, int, float]:
+    """Exact after-toggle score of a single candidate.
+
+    Returns ``(new_residue, new_volume, line_residue)`` --
+    **bit-identical** to the ``index`` entries of
+    :func:`exact_lane`'s output arrays.  Every expression mirrors
+    the lane's op tree exactly (same sorted-prefix SAD formula, same
+    reduction shapes and layouts), so the engine may serve a consult
+    from either path interchangeably; the lazy-vs-eager run-identity
+    test in ``tests/test_gain_engine.py`` depends on it.  With a
+    cached ``ctx`` the cost is O(m) -- cheaper than the lane's O(S)
+    candidate block whenever only a few of the S slots are consulted
+    before the cluster changes again.
+    """
+    if ctx is None:
+        ctx = exact_context(state, kind, c)
+    volume = ctx.volume
+    residue = ctx.residue
+    line_count = int(ctx.line_counts[index])
+    removing = bool(ctx.cand_member[index])
+    rem_volume = volume - line_count
+    emptied = removing and line_count > 0 and rem_volume <= 0
+    active = line_count > 0 and not emptied
+    new_volume = rem_volume if removing else volume + line_count
+
+    w = state.work
+    if w is not None:
+        w.toggle_evals += 1
+        w.cells_scanned += line_count
+
+    m = ctx.m
+    if m == 0 or not active:
+        return (0.0 if emptied else residue), new_volume, 0.0
+
+    jidx = ctx.jidx
+    row_filled = ctx.filled[index].take(jidx)         # (m,) contiguous
+    row_mask_f = ctx.mask[index].take(jidx).astype(np.float64)
+
+    lden = max(float(ctx.line_counts_f[index]), 1.0)
+    line_base = float(ctx.line_sums[index]) / lden
+    centred = row_filled - line_base                  # (m,)
+    dev = centred - ctx.cross_base
+    dev += ctx.grand0
+    np.abs(dev, out=dev)
+    dev *= row_mask_f
+    # The lane's per-candidate reductions run over one contiguous
+    # length-m row each (ctx gathers are C-ordered), so the plain
+    # 1-D pairwise sum here is the same accumulation, bit for bit.
+    line_residue = float(dev.sum()) / lden
+
+    sign = -1.0 if removing else 1.0
+    denom_v = max(float(new_volume), 1.0)
+    grand_new = (ctx.total + sign * float(ctx.line_sums[index])) / denom_v
+    bnc = ctx.base_counts_f + sign * row_mask_f
+    bns = ctx.base_sub_sums + sign * row_filled
+    pivots = np.where(bnc > 0, bns / np.maximum(bnc, 1.0), 0.0)
+    pivots -= grand_new                               # (m,)
+
+    # Strict rank of the pivot per member line -- one broadcast
+    # count (== the lane's accumulate/searchsorted ranks).
+    p = (ctx.table < pivots[:, None]).sum(axis=1)
+    pre = ctx.prefix.take(ctx.col_off + p)
+    q = 2.0 * p
+    q -= ctx.base_counts_f
+    q *= pivots
+    pre *= 2.0
+    np.subtract(ctx.col_totals, pre, out=pre)
+    q += pre
+    sad = q.sum()
+
+    own = centred - pivots
+    np.abs(own, out=own)
+    own *= row_mask_f
+    own_sum = own.sum()
+    own_sum = own_sum * sign
+    own_sum += sad
+    new_residue = float(np.maximum(own_sum / denom_v, 0.0))
+    return new_residue, new_volume, line_residue
 
 
 # -- vectorised policy -------------------------------------------------
@@ -789,7 +732,7 @@ class _LaneSet:
         self.lazy: Dict[int, int] = {}
         #: Cached ``ExactContext`` per deferred/windowed cluster,
         #: dropped with the epoch (same keying as ``versions``).
-        self.ctx: Dict[int, "ExactContext"] = {}
+        self.ctx: Dict[int, ExactContext] = {}
         #: Block-window bookkeeping (consult-position space, see
         #: ``GainEngine.begin_sweep``): a cluster's lane entries are
         #: valid either everywhere (``full``) or on the half-open
@@ -821,7 +764,6 @@ class GainEngine:
         residue_target: Optional[float],
         gain_mode: str,
         tracer: Tracer = NULL_TRACER,
-        backend: Optional[ScoringBackend] = None,
     ) -> None:
         self.state = state
         self.constraints = constraints
@@ -829,9 +771,6 @@ class GainEngine:
         self.residue_target = residue_target
         self.fast_mode = gain_mode == "fast"
         self.tracer = tracer
-        self.backend: ScoringBackend = (
-            backend if backend is not None else ResidueBackend()
-        )
         n_rows = state.row_member.shape[1]
         n_cols = state.col_member.shape[1]
         self._sizes = {ROW: n_rows, COL: n_cols}
@@ -866,11 +805,7 @@ class GainEngine:
         #: the one amortised lane build.  Exact cheap-path mode only --
         #: fast mode's lanes fix the RNG stream (bit-identity), and the
         #: expensive path's ordered consult walk wants whole columns.
-        has_scalar = hasattr(self.backend, "exact_one") and hasattr(
-            self.backend, "exact_context"
-        )
-        self._ctx_capable = has_scalar
-        if self.fast_mode or self._expensive or not has_scalar:
+        if self.fast_mode or self._expensive:
             self._lazy_kinds: frozenset = frozenset()
         else:
             total = n_rows + n_cols
@@ -898,14 +833,14 @@ class GainEngine:
         c: int,
         exact: bool,
         sel: Optional[np.ndarray] = None,
-        ctx: Optional["ExactContext"] = None,
+        ctx: Optional[ExactContext] = None,
     ) -> None:
         state = self.state
         if exact:
-            scores = self.backend.exact_lane(state, kind, c, sel=sel, ctx=ctx)
+            scores = exact_lane(state, kind, c, sel=sel, ctx=ctx)
         else:
             assert sel is None  # block windows are exact-mode only
-            scores = self.backend.estimate_lane(state, kind, c)
+            scores = estimate_lane(state, kind, c)
         member = self._member(kind, c)
         # ``width`` already counts the base axis; only the toggled axis
         # needs a fresh popcount.
@@ -984,23 +919,6 @@ class GainEngine:
             lanes.move = lanes.raw
         lanes.best_gain = None
 
-    def invalidate_all(self) -> None:
-        """Drop every cached lane (testing hook; normal invalidation is
-        driven by the state's modification stamps)."""
-        for lanes in self._move.values():
-            lanes.versions.fill(-1)
-            lanes.rev_seen = -1
-            lanes.lazy.clear()
-            lanes.ctx.clear()
-            lanes.full.fill(False)
-            lanes.win_end.fill(0)
-            lanes.win_floor = 0
-        for lanes in self._order.values():
-            lanes.versions.fill(-1)
-            lanes.rev_seen = -1
-            lanes.lazy.clear()
-            lanes.ctx.clear()
-
     def begin_sweep(self, order: Sequence[Tuple[str, int]]) -> None:
         """Register a sweep's consult order, enabling block windows.
 
@@ -1016,7 +934,7 @@ class GainEngine:
         bit-identical either way (the block evaluator is an exact slice
         of the full lane), so enabling windows never changes results.
         """
-        if self.fast_mode or self._expensive or not self._ctx_capable:
+        if self.fast_mode or self._expensive:
             return
         per_kind: Dict[str, List[int]] = {ROW: [], COL: []}
         for kind, index in order:
@@ -1143,10 +1061,8 @@ class GainEngine:
             lanes.lazy[c] = count
             ctx = lanes.ctx.get(c)
             if ctx is None:
-                ctx = lanes.ctx[c] = self.backend.exact_context(state, kind, c)
-            new_res, new_vol, line_res = self.backend.exact_one(
-                state, kind, index, c, ctx
-            )
+                ctx = lanes.ctx[c] = exact_context(state, kind, c)
+            new_res, new_vol, line_res = exact_one(state, kind, index, c, ctx)
             details[c] = (new_res, new_vol)
             removing = bool(self._member(kind, c)[index])
             n = int(state.row_member[c].sum())
@@ -1246,9 +1162,7 @@ class GainEngine:
                 continue
             ctx = lanes.ctx.get(c)
             if ctx is None:
-                ctx = lanes.ctx[c] = self.backend.exact_context(
-                    state, kind, c
-                )
+                ctx = lanes.ctx[c] = exact_context(state, kind, c)
             end = min(t + _BLOCK, size)
             self._build_lane(
                 lanes, kind, c, exact=True, sel=seq[t:end], ctx=ctx

@@ -18,6 +18,16 @@ import numpy as np
 
 __all__ = ["DataMatrix"]
 
+#: Weight per matrix cell that FLOC's r-residue score puts on a relative
+#: residue excess (``repro.core.floc._score``), so any excess outweighs
+#: any volume difference.  It also sets the magnitude bound below.
+_SCORE_WEIGHT_PER_CELL = 1e6
+
+#: ``|entry| * _SCORE_WEIGHT_PER_CELL * cells`` must stay below this.
+#: ``sqrt`` of the float maximum (~1.3e154) leaves the same margin again
+#: for the score's ``k / target`` factor and for squared residues.
+_MAGNITUDE_BUDGET = float(np.sqrt(np.finfo(np.float64).max))
+
 
 class DataMatrix:
     """An ``M x N`` real-valued matrix in which ``NaN`` means "unspecified".
@@ -27,7 +37,11 @@ class DataMatrix:
     values:
         Anything convertible to a 2-D ``float64`` array.  ``NaN`` entries
         are treated as missing.  The array is copied so later mutation of
-        the caller's buffer cannot corrupt the matrix.
+        the caller's buffer cannot corrupt the matrix.  Specified entries
+        must satisfy ``|d| <= 1.3e154 / (1e6 * n_rows * n_cols)`` (about
+        2.8e145 for a 40x12 matrix) so the residue arithmetic and FLOC's
+        score, which weights residue excess by ``1e6`` per cell, cannot
+        overflow; rescale larger data first.
     row_labels, col_labels:
         Optional human-readable names (e.g. gene names, movie titles).
         Lengths must match the matrix shape when given.
@@ -54,8 +68,16 @@ class DataMatrix:
             raise ValueError(f"matrix must be non-empty, got shape {array.shape}")
         if np.isinf(array).any():
             raise ValueError("matrix entries must be finite or NaN (missing)")
+        mask = ~np.isnan(array)
+        bound = _MAGNITUDE_BUDGET / (_SCORE_WEIGHT_PER_CELL * array.size)
+        if np.abs(array[mask]).max(initial=0.0) > bound:
+            raise ValueError(
+                f"matrix entries must have magnitude <= {bound:.3g} for a "
+                f"{array.shape[0]}x{array.shape[1]} matrix (the residue "
+                "score would overflow); rescale the data"
+            )
         self._values = array
-        self._mask = ~np.isnan(array)
+        self._mask = mask
         self._row_labels = self._check_labels(row_labels, array.shape[0], "row")
         self._col_labels = self._check_labels(col_labels, array.shape[1], "col")
 

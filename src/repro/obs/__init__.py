@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics and profiling for FLOC.
+"""Observability: structured tracing, metrics and work counters for FLOC.
 
 The subsystem has four pieces, all optional and all zero-cost when not
 requested:
@@ -22,8 +22,6 @@ requested:
   the byte-deterministic merge;
 * :mod:`repro.obs.export` -- Chrome trace-event / OTLP renderings of
   merged session traces (``repro export-trace``);
-* :mod:`repro.obs.profiling` -- the ``@profiled`` decorator on the core
-  residue/action primitives plus a wall/CPU report;
 * :mod:`repro.obs.perf` -- the deterministic work-counter cost model
   (:class:`~repro.obs.perf.counters.WorkCounters`), the environment
   fingerprint, and the ``repro bench`` harness with machine-readable
@@ -68,15 +66,6 @@ from .perf import (
     WorkCounters,
     environment_fingerprint,
     git_revision,
-)
-from .profiling import (
-    disable_profiling,
-    enable_profiling,
-    profile_report,
-    profile_snapshot,
-    profiled,
-    profiling_enabled,
-    reset_profile,
 )
 from .session import (
     SessionTrace,
@@ -144,8 +133,6 @@ __all__ = [
     "chrome_trace",
     "collect_session",
     "diff_traces",
-    "disable_profiling",
-    "enable_profiling",
     "environment_fingerprint",
     "event_fields",
     "export_chrome",
@@ -153,12 +140,7 @@ __all__ = [
     "git_revision",
     "merge_session",
     "open_worker_tracer",
-    "profile_report",
-    "profile_snapshot",
-    "profiled",
-    "profiling_enabled",
     "read_jsonl",
-    "reset_profile",
     "session_id_for",
     "worker_shard_path",
 ]

@@ -9,10 +9,9 @@ analysis:
 ``residue_evals``
     Exact residue recomputations of a cluster submatrix: one per
     :meth:`~repro.core.floc._State.refresh_cluster` of a non-empty
-    cluster, one per per-action exact candidate evaluation, and one
-    per :class:`~repro.core.gain_engine.ExactContext` build (each
-    context re-derives its cluster's residue from the sufficient
-    statistics).  The O(n*m) unit.
+    cluster and one per :class:`~repro.core.gain_engine.ExactContext`
+    build (each context re-derives its cluster's residue from the
+    sufficient statistics).  The O(n*m) unit.
 ``cells_scanned``
     Specified cells whose residue contribution was computed, summed
     over every evaluation: cluster volumes for full scans and context
@@ -22,20 +21,18 @@ analysis:
     unit -- directly comparable to the paper's "matrix volume x k"
     scaling claim.
 ``toggle_evals``
-    Candidate toggle evaluations of any mode: per-slot scalar calls
-    (``exact_one`` counts 1), per-cluster frozen-bases estimates, the
-    k per-cluster lanes of every vectorized batch call, and the n_out
-    candidates of every engine lane build (S for a full lane, the
-    block size for a windowed rebuild).
+    Candidate toggle evaluations of any mode: one per single-candidate
+    :func:`~repro.core.gain_engine.exact_one` call, and the n_out
+    candidates of every estimate or exact lane build (S for a full
+    lane, the block size for a windowed rebuild).
 ``batch_evals``
-    Vectorized candidate evaluations: one per
-    :meth:`~repro.core.floc._State.candidate_parts_batch` call (all k
-    clusters of one slot) and one per gain-engine lane build (all
-    scored slots of one cluster).  The amortization unit: the more
-    ``toggle_evals`` each ``batch_eval`` carries, the better batched.
+    Vectorized candidate evaluations: one per gain-engine lane build,
+    estimate or exact (all scored slots of one cluster).  The
+    amortization unit: the more ``toggle_evals`` each ``batch_eval``
+    carries, the better batched.
 ``lane_builds``
-    Sorted-residual lane constructions of the batched *exact* backend
-    (:meth:`~repro.core.gain_engine.ResidueBackend.exact_lane`), full
+    Sorted-residual lane constructions of the batched *exact* scorer
+    (:func:`~repro.core.gain_engine.exact_lane`), full
     or block-windowed -- the O(volume log n) unit that replaced exact
     mode's per-candidate submatrix rescans.
 ``toggles``

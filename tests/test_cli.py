@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -108,6 +109,35 @@ class TestMineAndEvaluate:
         bad.write_text("nope")
         with pytest.raises(SystemExit, match="unsupported"):
             main(["mine", str(bad), "--target", "1.0"])
+
+
+class TestMineRejectsBadInput:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p", "1.5", "in (0, 1]"),
+        ("--workers", "0", "an integer >= 1"),
+        ("--target", "-1", "a positive finite number"),
+    ])
+    def test_bad_flag_is_a_usage_error(
+        self, workspace, capsys, flag, value, message
+    ):
+        __, matrix_path, __ = workspace
+        argv = ["mine", str(matrix_path), "--target", "2.0", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro mine: error: argument " + flag in err
+        assert message in err
+
+    def test_overflowing_magnitude_exits_2(self, tmp_path, capsys):
+        values = np.random.default_rng(0).normal(size=(40, 12)) * 1e300
+        path = tmp_path / "huge.npz"
+        np.savez(path, values=values)
+        code = main(["mine", str(path), "--target", "1", "--k", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro mine: error: ")
+        assert "magnitude" in err
 
 
 class TestPredict:

@@ -2,10 +2,11 @@
 
 The engine's whole claim is *equivalence*: the batched exact evaluator,
 its block-windowed and scalar forms, and the vectorised gain ladder must
-reproduce the per-action oracle path (``exact_candidate`` /
-``evaluate_toggle`` / scalar ``_gain``) -- exactly where exactness is
-promised (volumes, chosen actions, bitwise-identical lane entries) and
-to float tolerance where the oracle recomputes from scratch (residues).
+reproduce the per-action oracle path (``exact_candidate`` from
+``tests/oracles.py`` / ``evaluate_toggle`` / scalar ``_gain``) -- exactly
+where exactness is promised (volumes, chosen actions, bitwise-identical
+lane entries) and to float tolerance where the oracle recomputes from
+scratch (residues).
 The WorkCounters accounting rules of the batched counters are pinned
 here too.
 """
@@ -18,10 +19,12 @@ from hypothesis.extra.numpy import arrays
 
 import repro.core.gain_engine as ge
 from repro.core.floc import _State, _gain, floc
-from repro.core.gain_engine import GainEngine, ResidueBackend, gain_lane
+from repro.core.gain_engine import GainEngine, gain_lane
 from repro.core.seeding import bernoulli_seeds
 from repro.data.synthetic import generate_embedded
 from repro.obs.perf.counters import WorkCounters
+
+from .oracles import candidate_parts_batch, exact_candidate
 
 # -- strategies --------------------------------------------------------
 
@@ -49,7 +52,7 @@ def make_state(values, seed, k, work=None):
     mask = ~np.isnan(values)
     rng = np.random.default_rng(seed)
     seeds = bernoulli_seeds(values.shape[0], values.shape[1], k, 0.4, rng)
-    return _State(values, mask, seeds, fast=True, work=work)
+    return _State(values, mask, seeds, work=work)
 
 
 # -- exact lane vs the per-action oracle -------------------------------
@@ -61,13 +64,12 @@ class TestExactLaneOracle:
     def test_lane_matches_exact_candidate(self, values, seed, k):
         """Full-lane residues/volumes == per-action evaluate_toggle rescans."""
         state = make_state(values, seed, k)
-        backend = ResidueBackend()
         for kind in ("row", "col"):
             size = values.shape[0] if kind == "row" else values.shape[1]
             for c in range(k):
-                lane = backend.exact_lane(state, kind, c)
+                lane = ge.exact_lane(state, kind, c)
                 for i in range(size):
-                    oracle_res, oracle_vol = state.exact_candidate(kind, i, c)
+                    oracle_res, oracle_vol = exact_candidate(state, kind, i, c)
                     assert int(lane.new_volumes[i]) == oracle_vol
                     assert float(lane.new_residues[i]) == pytest.approx(
                         oracle_res, rel=1e-9, abs=1e-9
@@ -101,7 +103,7 @@ class TestExactLaneOracle:
                             continue
                         if kind == "col" and (n_c < 1 or m_c - 1 < 1):
                             continue
-                    res, _ = state.exact_candidate(kind, index, c)
+                    res, _ = exact_candidate(state, kind, index, c)
                     gains[c] = _gain(
                         float(state.residues[c]), int(state.volumes[c]),
                         res, 0, residue_target=None,
@@ -131,13 +133,12 @@ class TestEstimateLane:
     @settings(max_examples=60, deadline=None)
     def test_estimate_lane_bitwise_equals_batch(self, values, seed, k):
         state = make_state(values, seed, k)
-        backend = ResidueBackend()
         for kind in ("row", "col"):
             size = values.shape[0] if kind == "row" else values.shape[1]
-            lanes = [backend.estimate_lane(state, kind, c) for c in range(k)]
+            lanes = [ge.estimate_lane(state, kind, c) for c in range(k)]
             for index in range(size):
-                new_res, new_vol, line_res, _, _ = state.candidate_parts_batch(
-                    kind, index
+                new_res, new_vol, line_res, _, _ = candidate_parts_batch(
+                    state, kind, index
                 )
                 for c in range(k):
                     assert lanes[c].new_residues[index] == new_res[c]
@@ -150,7 +151,6 @@ class TestEstimateLane:
 
 class TestBlockAndScalarParity:
     def test_block_sel_and_exact_one_bitwise_equal_full_lane(self):
-        backend = ResidueBackend()
         rng = np.random.default_rng(42)
         for _ in range(10):
             N = int(rng.integers(8, 80))
@@ -160,39 +160,38 @@ class TestBlockAndScalarParity:
             values[rng.random((N, M)) < 0.15] = np.nan
             mask = ~np.isnan(values)
             seeds = bernoulli_seeds(N, M, k, 0.3, rng)
-            state = _State(values, mask, seeds, fast=True, work=None)
+            state = _State(values, mask, seeds, work=None)
             for kind in ("row", "col"):
                 size = N if kind == "row" else M
                 for c in range(k):
-                    ctx = backend.exact_context(state, kind, c)
-                    full = backend.exact_lane(state, kind, c, ctx=ctx)
+                    ctx = ge.exact_context(state, kind, c)
+                    full = ge.exact_lane(state, kind, c, ctx=ctx)
                     bs = int(rng.integers(1, size + 1))
                     sel = rng.permutation(size)[:bs].astype(np.intp)
-                    blk = backend.exact_lane(state, kind, c, sel=sel, ctx=ctx)
+                    blk = ge.exact_lane(state, kind, c, sel=sel, ctx=ctx)
                     for name in ("new_residues", "new_volumes", "line_residues"):
                         assert np.array_equal(
                             getattr(full, name)[sel], getattr(blk, name)
                         ), name
                     for i in rng.integers(0, size, size=min(4, size)):
                         i = int(i)
-                        nr, nv, lr = backend.exact_one(state, kind, i, c, ctx)
+                        nr, nv, lr = ge.exact_one(state, kind, i, c, ctx)
                         assert nr == full.new_residues[i]
                         assert nv == full.new_volumes[i]
                         assert lr == full.line_residues[i]
 
     def test_ctx_reuse_bitwise_equals_fresh_ctx(self):
-        backend = ResidueBackend()
         rng = np.random.default_rng(7)
         values = rng.normal(size=(40, 12))
         values[rng.random((40, 12)) < 0.1] = np.nan
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(40, 12, 3, 0.3, rng)
-        state = _State(values, mask, seeds, fast=True, work=None)
+        state = _State(values, mask, seeds, work=None)
         for kind in ("row", "col"):
             for c in range(3):
-                ctx = backend.exact_context(state, kind, c)
-                with_ctx = backend.exact_lane(state, kind, c, ctx=ctx)
-                without = backend.exact_lane(state, kind, c)
+                ctx = ge.exact_context(state, kind, c)
+                with_ctx = ge.exact_lane(state, kind, c, ctx=ctx)
+                without = ge.exact_lane(state, kind, c)
                 for name in ("new_residues", "new_volumes", "line_residues"):
                     assert np.array_equal(
                         getattr(with_ctx, name), getattr(without, name)
@@ -244,14 +243,13 @@ class TestCounterAccounting:
         values[rng.random((60, 20)) < 0.1] = np.nan
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(60, 20, 4, 0.3, rng)
-        return _State(values, mask, seeds, fast=True, work=work)
+        return _State(values, mask, seeds, work=work)
 
     def test_exact_context_counts_one_residue_eval_of_volume_cells(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
         before = work.copy()
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = ge.exact_context(state, "row", 0)
         assert work.residue_evals == before.residue_evals + 1
         assert work.cells_scanned == before.cells_scanned + ctx.volume
         assert work.toggle_evals == before.toggle_evals
@@ -260,10 +258,9 @@ class TestCounterAccounting:
     def test_exact_lane_counts_batch_and_per_slot_toggles(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = ge.exact_context(state, "row", 0)
         before = work.copy()
-        lane = backend.exact_lane(state, "row", 0, ctx=ctx)
+        lane = ge.exact_lane(state, "row", 0, ctx=ctx)
         assert work.batch_evals == before.batch_evals + 1
         assert work.lane_builds == before.lane_builds + 1
         assert work.toggle_evals == before.toggle_evals + 60
@@ -274,11 +271,10 @@ class TestCounterAccounting:
     def test_block_lane_scans_only_selected_slots(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = ge.exact_context(state, "row", 0)
         sel = np.arange(10, dtype=np.intp)
         before = work.copy()
-        lane = backend.exact_lane(state, "row", 0, sel=sel, ctx=ctx)
+        lane = ge.exact_lane(state, "row", 0, sel=sel, ctx=ctx)
         assert work.batch_evals == before.batch_evals + 1
         assert work.toggle_evals == before.toggle_evals + 10
         assert work.cells_scanned == (
@@ -289,11 +285,10 @@ class TestCounterAccounting:
     def test_exact_one_counts_one_toggle_of_line_count_cells(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
-        ctx = backend.exact_context(state, "row", 0)
-        full = backend.exact_lane(state, "row", 0, ctx=ctx)
+        ctx = ge.exact_context(state, "row", 0)
+        full = ge.exact_lane(state, "row", 0, ctx=ctx)
         before = work.copy()
-        backend.exact_one(state, "row", 5, 0, ctx)
+        ge.exact_one(state, "row", 5, 0, ctx)
         assert work.toggle_evals == before.toggle_evals + 1
         assert work.cells_scanned == (
             before.cells_scanned + int(full.line_counts[5])
@@ -340,22 +335,26 @@ class TestRunIdentity:
         eager = floc(dataset.matrix, 8, **kwargs)
         assert _fingerprint(cached) == _fingerprint(eager)
 
-    def test_invalidate_all_preserves_best_action(self):
+    def test_cached_engine_matches_fresh_engine(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=(50, 15))
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(50, 15, 3, 0.3, rng)
-        state = _State(values, mask, seeds, fast=True, work=None)
+        state = _State(values, mask, seeds, work=None)
         from repro.core.constraints import Constraints
 
-        engine = GainEngine(
-            state, Constraints(min_rows=1, min_cols=1),
-            alpha=0.0, residue_target=2.0, gain_mode="exact",
-        )
+        def new_engine():
+            return GainEngine(
+                state, Constraints(min_rows=1, min_cols=1),
+                alpha=0.0, residue_target=2.0, gain_mode="exact",
+            )
+
+        engine = new_engine()
         first = [engine.best_action("row", i) for i in range(50)]
-        engine.invalidate_all()
-        again = [engine.best_action("row", i) for i in range(50)]
-        assert first == again
+        cached = [engine.best_action("row", i) for i in range(50)]
+        fresh_engine = new_engine()
+        fresh = [fresh_engine.best_action("row", i) for i in range(50)]
+        assert first == cached == fresh
 
 
 # -- satellite: empty-action sweeps take no snapshots ------------------

@@ -33,6 +33,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             DataMatrix([[1.0, float("inf")]])
 
+    def test_rejects_magnitude_that_overflows_the_score(self):
+        values = np.random.default_rng(0).normal(size=(40, 12))
+        # Bound: sqrt(float max) / (1e6 score weight * 480 cells) ~ 2.8e145.
+        assert DataMatrix(values * 1e140).shape == (40, 12)
+        with pytest.raises(ValueError, match="magnitude"):
+            DataMatrix(values * 1e300)
+        # Missing entries are exempt from the bound.
+        values[0, 0] = NAN
+        assert DataMatrix(values).n_specified == 479
+
     def test_nan_allowed_as_missing(self):
         m = DataMatrix([[1.0, NAN]])
         assert m.n_specified == 1

@@ -9,6 +9,7 @@ two runs of the smoke suite at the same seed produce byte-identical
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,16 @@ class TestDocuments:
         result = compare_documents(first, second)
         assert result.ok
         assert any("work counters match" in line for line in result.lines)
+
+    @pytest.mark.parametrize("suite", ["smoke", "table23"])
+    def test_counters_and_details_match_committed_baseline(self, suite):
+        """The CI counter gate, in tier-1: every clustering and work
+        counter of the gated suites equals the committed baseline."""
+        baselines = Path(__file__).resolve().parent.parent / "benchmarks/baselines"
+        baseline = load_document(baselines / f"BENCH_{suite}.json")
+        doc = json.loads(document_bytes(run_suite(suite, repeats=1)))
+        assert doc["work"] == baseline["work"]
+        assert doc["details"] == baseline["details"]
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="no workloads"):

@@ -2,7 +2,8 @@
 
 Not paper tables -- these quantify the deltas introduced by:
 
-* ``gain_mode``: exact O(n*m) re-evaluation vs the O(m) fast estimate;
+* ``gain_mode``: the exact after-toggle residue (batched gain engine)
+  vs the O(m) frozen-bases fast estimate;
 * ``mandatory_moves``: the paper's perform-even-negative rule vs
   skip-non-positive;
 * ``reseed_rounds``: 0 (paper-literal single Phase 2) vs 10.
@@ -50,13 +51,15 @@ def test_ablation_gain_mode(benchmark, report):
         rows,
         headers=["gain mode", "time (s)", "iterations", "recall", "precision"],
         title="Ablation -- exact vs fast gain evaluation\n"
-              "(fast trades the O(n*m) per-candidate scan for an O(m) "
+              "(exact scores the true after-toggle residue from the "
+              "cluster's sufficient statistics; fast uses an O(m) "
               "frozen-bases estimate; the acted cluster's ledger stays "
               "exact either way)",
     )
     report("ablation_gain_mode", text)
+    # Wall time is reported, not asserted: one sample per mode cannot
+    # order two runs that sit within noise of each other.
     fast_row, exact_row = rows
-    assert fast_row[1] < exact_row[1], "fast mode must be faster"
     assert fast_row[3] > 0.5, "fast mode must stay accurate"
 
 

@@ -605,7 +605,8 @@ def _phase2(
     best_state = state.snapshot()
     slots = action_slots(matrix.n_rows, matrix.n_cols)
     engine = gain_engine.GainEngine(
-        state, active, alpha, residue_target, gain_mode, tracer
+        state, active, alpha, residue_target, gain_mode, tracer,
+        mandatory_moves=mandatory_moves,
     )
     n_actions = 0
     n_iterations = 0

@@ -17,7 +17,9 @@ Three layers (see DESIGN.md section "Batched gain engine"):
     residue derived from the incremental statistics -- no submatrix
     rescan.  :func:`exact_context` and :func:`exact_one` split the exact
     lane into its candidate-independent half and a single-candidate
-    evaluation that is bit-identical to the lane's entry.
+    evaluation that is bit-identical to the lane's entry.  The context
+    itself splits into a header (bases) and a sorted table, so the
+    admission pass can run on the header alone.
 
 **Vectorised policy** (:func:`gain_lane`, the blocking masks)
     Array forms of FLOC's ``_gain`` branch ladder and of the cheap
@@ -33,6 +35,14 @@ Three layers (see DESIGN.md section "Batched gain engine"):
     semantics are preserved bit for bit; the paranoia-mode test in
     ``tests/test_gain_engine.py`` rebuilds every lane at every consult
     and checks the full run is identical).
+
+    When only positive gains will be performed (exact r-residue mode,
+    ``mandatory_moves=False``, no alpha or cross-cluster constraint),
+    the engine builds no lane at all: a per-epoch *admission pass*
+    prunes every candidate whose gain the ``_gain`` ladder bounds at
+    <= 0 (misfit additions, fitting removals from feasible clusters),
+    and a consult scores only the rest, with :func:`exact_one`.
+    Lazy consults and block windows serve the other exact runs.
 
 Cross-cluster constraints (Cons_o overlap, Cons_c coverage) and the
 exact alpha-occupancy check depend on *other* clusters' state, so they
@@ -105,7 +115,9 @@ class ExactContext:
     Built by :func:`exact_context`; valid until the cluster's
     modification stamp moves (the engine keys its cache on exactly
     that).  ``m == 0`` contexts carry only the header fields -- every
-    candidate of such a cluster takes the early-out path.
+    candidate of such a cluster takes the early-out path.  A header
+    built alone (:func:`_exact_header`) has ``table is None`` until
+    :func:`_sort_table` adds the sorted half.
     """
 
     __slots__ = (
@@ -205,6 +217,32 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
         width=int(member.sum()),
     )
 
+def _centred_line_residues(
+    ctx: ExactContext,
+    sub_filled: np.ndarray,
+    sub_mask_f: np.ndarray,
+    line_sums: np.ndarray,
+    lden: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Centred residuals and frozen-bases line residue of a line block.
+
+    The one op tree behind the exact lane's ``line_residues`` and the
+    admission pass: each line's residuals about its own mean (``filled``
+    is zero at unspecified cells, so masking happens once, where each
+    consumer needs it), then the line's own frozen-bases residue -- the
+    r-residue admission input, same definition as the estimate lane --
+    in in-place passes over one temporary.  Every per-line reduction
+    runs over one contiguous length-m row, so a line's value is bit for
+    bit :func:`exact_one`'s ``line_residue`` for any block shape.
+    """
+    centred = sub_filled - (line_sums / lden)[:, None]   # (n_out, m)
+    dev = centred - ctx.cross_base[None, :]
+    dev += ctx.grand0
+    np.abs(dev, out=dev)
+    dev *= sub_mask_f
+    return centred, dev.sum(axis=1) / lden
+
+
 # -- scoring: exact lane, sorted-prefix SAD over centred residuals -----
 
 def exact_lane(
@@ -297,21 +335,10 @@ def exact_lane(
     base_counts_f = ctx.base_counts_f
 
     lden = np.maximum(line_counts_f, 1.0)
-    line_base = line_sums / lden
-
-    # Centred residuals of every line against its own mean.
-    # ``filled`` is zero at unspecified cells, so masking happens
-    # once, where each consumer needs it.
-    centred = sub_filled - line_base[:, None]         # (n_out, m)
-
-    # The toggled line's own frozen-bases residue (the r-residue
-    # admission input -- same definition as the estimate lane).
-    # In-place passes over one temporary, same op order.
-    dev = centred - ctx.cross_base[None, :]
-    dev += ctx.grand0
-    np.abs(dev, out=dev)
-    dev *= sub_mask_f
-    line_residues = np.where(active, dev.sum(axis=1) / lden, 0.0)
+    centred, raw_line_res = _centred_line_residues(
+        ctx, sub_filled, sub_mask_f, line_sums, lden
+    )
+    line_residues = np.where(active, raw_line_res, 0.0)
 
     table = ctx.table
     prefix = ctx.prefix
@@ -400,7 +427,22 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     Everything here depends only on the cluster's current state, so
     the engine caches one context per (kind, cluster) modification
     epoch and amortises the O(V log n) table build over every
-    :func:`exact_one` of the epoch.
+    :func:`exact_one` of the epoch.  Equal to
+    :func:`_exact_header` followed by :func:`_sort_table`; the
+    admission-filtered consult path builds the two halves separately,
+    sorting only once a candidate of the epoch needs exact scoring.
+    """
+    ctx = _exact_header(state, kind, c)
+    _sort_table(state, ctx)
+    return ctx
+
+
+def _exact_header(state: "_State", kind: str, c: int) -> ExactContext:
+    """Gathers and bases of an exact context, without the sorted table.
+
+    Enough for the line residues of the admission pass; ``ctx.table``
+    stays ``None`` until :func:`_sort_table`.  Counts no work -- the
+    O(V) unit is the table build.
     """
     if kind == ROW:
         filled, mask = state.filled, state.mask
@@ -420,14 +462,8 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
         base_sums_all, base_counts_all = state.row_sums[c], state.row_counts[c]
 
     volume = int(state.volumes[c])
-    residue = float(state.residues[c])
     jidx = np.flatnonzero(base_member)
     m = jidx.size
-
-    w = state.work
-    if w is not None:
-        w.residue_evals += 1
-        w.cells_scanned += volume
 
     ctx = ExactContext()
     ctx.filled = filled
@@ -437,9 +473,10 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     ctx.line_counts = line_counts
     ctx.line_counts_f = line_counts_f
     ctx.volume = volume
-    ctx.residue = residue
+    ctx.residue = float(state.residues[c])
     ctx.jidx = jidx
     ctx.m = m
+    ctx.table = None
     if m == 0:
         return ctx
 
@@ -457,18 +494,33 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     total = float(base_sub_sums.sum())
     ctx.total = total
     ctx.grand0 = total / volume if volume else 0.0
+    return ctx
 
+
+def _sort_table(state: "_State", ctx: ExactContext) -> None:
+    """Add the sorted residual table + prefix sums to a context header.
+
+    Counts one ``residue_evals`` of ``volume`` cells: the table
+    re-derives the cluster's residue terms from every specified cell.
+    """
+    w = state.work
+    if w is not None:
+        w.residue_evals += 1
+        w.cells_scanned += ctx.volume
+    m = ctx.m
+    if m == 0:
+        return
     # Sorted residual table of the member lines, one (contiguous)
     # row per member of the base axis; +inf-padded so every base
     # line's specified residuals occupy its sorted prefix.  The inf
     # padding may leak into the prefix tail, but every read sits at
     # a rank <= the line's specified count, before the first inf.
-    ridx = np.flatnonzero(cand_member)
+    ridx = np.flatnonzero(ctx.cand_member)
     n = ridx.size
-    cells = np.ix_(ridx, jidx)
-    mem_filled = filled[cells]                        # (n, m)
-    mem_mask = mask[cells]
-    mem_base = line_sums[ridx] / np.maximum(line_counts_f[ridx], 1.0)
+    cells = np.ix_(ridx, ctx.jidx)
+    mem_filled = ctx.filled[cells]                    # (n, m)
+    mem_mask = ctx.mask[cells]
+    mem_base = ctx.line_sums[ridx] / np.maximum(ctx.line_counts_f[ridx], 1.0)
     mem_centred = mem_filled - mem_base[:, None]
     table = np.ascontiguousarray(
         np.where(mem_mask, mem_centred, np.inf).T
@@ -476,13 +528,65 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     table.sort(axis=1)
     prefix = np.zeros((m, n + 1))
     np.cumsum(table, axis=1, out=prefix[:, 1:])
-    col_n = base_sub_counts.astype(np.intp)
+    col_n = ctx.base_counts_f.astype(np.intp)
     col_off = np.arange(m) * (n + 1)
     ctx.table = table
     ctx.prefix = prefix
     ctx.col_off = col_off
     ctx.col_totals = prefix.take(col_off + col_n)
-    return ctx
+
+
+def _admission_prunable(
+    state: "_State", ctx: ExactContext, residue_target: float
+) -> np.ndarray:
+    """Candidates of one (kind, cluster) epoch whose gain is provably <= 0.
+
+    The r-residue admission bound (DESIGN.md section 5, "Admission
+    filter"), for ``residue_target > 0``.  An *active* candidate (its
+    line has specified cells on the cluster and removing it does not
+    empty the cluster) is prunable when it is
+
+    * a misfit addition (``line_res > target``): ``_gain`` returns
+      ``reduction - 1`` with ``reduction = (old - new) / max(old,
+      target) <= 1``, because ``new >= 0``; or
+    * a fitting removal from a feasible cluster (``line_res <= target
+      >= old``): the volume delta is negative, or ``new > target >=
+      old`` and the reduction is negative.
+
+    Inactive lines stay live (an untouched addition to a feasible
+    cluster scores exactly 1.0).  Line residues come from the exact
+    lane's own op tree, so each is bit-identical to :func:`exact_one`'s
+    ``line_residue`` and the verdict is exactly the one ``_gain``
+    would reach.  Counted like an exact lane's candidate scan, without
+    the lane build: one ``batch_evals`` of S ``toggle_evals``.
+    """
+    removing = ctx.cand_member
+    line_counts = ctx.line_counts
+    w = state.work
+    if w is not None:
+        w.batch_evals += 1
+        w.toggle_evals += line_counts.size
+        w.cells_scanned += int(line_counts.sum())
+    lcpos = line_counts > 0
+    emptied = removing & lcpos & (ctx.volume - line_counts <= 0)
+    active = lcpos & ~emptied
+    if ctx.m == 0 or not active.any():
+        return np.zeros(line_counts.size, dtype=bool)
+    jidx = ctx.jidx
+    _, line_res = _centred_line_residues(
+        ctx,
+        ctx.filled.take(jidx, axis=1),
+        ctx.mask.take(jidx, axis=1).astype(np.float64),
+        ctx.line_sums,
+        np.maximum(ctx.line_counts_f, 1.0),
+    )
+    fits = line_res <= residue_target
+    if ctx.residue <= residue_target:
+        prunable = np.where(removing, fits, ~fits)
+    else:
+        prunable = ~removing & ~fits
+    prunable &= active
+    return prunable
 
 def exact_one(
     state: "_State",
@@ -746,6 +850,30 @@ class _LaneSet:
         self.win_floor = 0
 
 
+class _Admission:
+    """Per-kind cache of the admission-filtered consult path.
+
+    Per cluster epoch (same stamp keying as :class:`_LaneSet`): the
+    :class:`ExactContext` (header first, sorted table on demand), the
+    structural verdicts, and ``live`` -- the slots whose gain against
+    the cluster is not provably <= 0 and that are not structurally
+    blocked.
+    """
+
+    __slots__ = (
+        "live", "versions", "rev_seen", "ctx",
+        "removal_blocked", "addition_blocked",
+    )
+
+    def __init__(self, k: int, size: int) -> None:
+        self.live = np.zeros((k, size), dtype=bool)
+        self.versions = np.full(k, -1, dtype=np.int64)
+        self.rev_seen = -1
+        self.ctx: List[Optional[ExactContext]] = [None] * k
+        self.removal_blocked = np.zeros(k, dtype=bool)
+        self.addition_blocked = np.zeros(k, dtype=bool)
+
+
 class GainEngine:
     """Scores all candidate actions of a sweep from cached lanes.
 
@@ -754,6 +882,14 @@ class GainEngine:
     moves past the cached version -- a performed action therefore costs
     two lane rebuilds (its cluster's row and column lanes) at the next
     consult instead of a full sweep rescore.
+
+    ``mandatory_moves`` is the caller's move policy.  With it off (the
+    :func:`~repro.core.floc.floc` default) only positive gains are
+    performed, so on the cheap exact r-residue path the engine skips
+    lanes altogether: an admission pass prunes the candidates whose
+    gain is provably <= 0 and consults score the rest one at a time
+    (see :meth:`best_action`).  The default ``True`` keeps direct
+    callers' contract that negative gains are returned.
     """
 
     def __init__(
@@ -764,6 +900,7 @@ class GainEngine:
         residue_target: Optional[float],
         gain_mode: str,
         tracer: Tracer = NULL_TRACER,
+        mandatory_moves: bool = True,
     ) -> None:
         self.state = state
         self.constraints = constraints
@@ -790,6 +927,21 @@ class GainEngine:
             or constraints.require_col_coverage
         )
         self._expensive = self._scalar_constraints or alpha > 0.0
+        #: Admission-filtered consults: exact cheap path, r-residue
+        #: objective, positive gains only.  The <= 0 bound divides by
+        #: ``max(old, target)``, hence the positive target.
+        self._admission: Optional[Dict[str, _Admission]] = None
+        if (
+            not self.fast_mode
+            and not self._expensive
+            and not mandatory_moves
+            and residue_target is not None
+            and residue_target > 0
+        ):
+            self._admission = {
+                ROW: _Admission(state.k, n_rows),
+                COL: _Admission(state.k, n_cols),
+            }
         #: Memo of the "already violating alpha" healing rule, keyed by
         #: the cluster's modification stamp.
         self._alpha_memo: Dict[int, Tuple[int, bool]] = {}
@@ -934,7 +1086,7 @@ class GainEngine:
         bit-identical either way (the block evaluator is an exact slice
         of the full lane), so enabling windows never changes results.
         """
-        if self.fast_mode or self._expensive:
+        if self.fast_mode or self._expensive or self._admission is not None:
             return
         per_kind: Dict[str, List[int]] = {ROW: [], COL: []}
         for kind, index in order:
@@ -973,8 +1125,13 @@ class GainEngine:
         Same contract as the scalar ``_best_action`` it replaces:
         negative gains are eligible (the caller's ``mandatory_moves``
         policy decides whether they are performed), ties go to the
-        lowest cluster index.
+        lowest cluster index.  On the admission-filtered path (engine
+        built with ``mandatory_moves=False``; see the class docstring)
+        the winner is returned only when its gain is positive --
+        exactly the actions the caller would perform.
         """
+        if self._admission is not None:
+            return self._best_action_filtered(kind, index)
         lanes = self._move[kind]
         if (
             not self.fast_mode
@@ -1032,6 +1189,70 @@ class GainEngine:
                 gain,
             )
         return None
+
+    def _best_action_filtered(
+        self, kind: str, index: int
+    ) -> Optional[Tuple[int, float, int, float]]:
+        """Consult that scores exactly only the slot's live clusters.
+
+        Every pruned or blocked candidate's gain is <= 0, so when the
+        best gain is positive it is attained among the live clusters
+        only, and the ascending scan with a strict ``>`` keeps the
+        lane path's lowest-index tie rule: the returned action is bit
+        for bit the one an eager lane consult would have performed.
+        """
+        state = self.state
+        assert self._admission is not None
+        adm = self._admission[kind]
+        if adm.rev_seen != state.rev:
+            self._sync_admission(adm, kind)
+        if self.tracer.enabled:
+            member = state.row_member if kind == ROW else state.col_member
+            blocked = int(np.where(
+                member[:, index], adm.removal_blocked, adm.addition_blocked
+            ).sum())
+            if blocked:
+                self.tracer.inc("actions_blocked_by_constraint", blocked)
+        best = None
+        best_gain = 0.0
+        for c in adm.live[:, index].nonzero()[0].tolist():
+            ctx = adm.ctx[c]
+            assert ctx is not None
+            if ctx.table is None:
+                _sort_table(state, ctx)
+            new_res, new_vol, line_res = exact_one(state, kind, index, c, ctx)
+            gain = self._scalar_gain(
+                ctx.residue,
+                ctx.volume,
+                new_res,
+                new_vol,
+                self.residue_target,
+                line_res,
+                not ctx.cand_member[index],
+            )
+            if gain > best_gain:
+                best_gain = gain
+                best = (c, new_res, new_vol, gain)
+        return best
+
+    def _sync_admission(self, adm: _Admission, kind: str) -> None:
+        """Run the admission pass of every cluster whose epoch moved."""
+        state = self.state
+        adm.rev_seen = state.rev
+        target = self.residue_target
+        assert target is not None
+        for c in (adm.versions != state.stamp).nonzero()[0].tolist():
+            ctx = adm.ctx[c] = _exact_header(state, kind, c)
+            live = ~_admission_prunable(state, ctx, target)
+            extent = int(ctx.cand_member.sum())
+            n, m = (extent, ctx.m) if kind == ROW else (ctx.m, extent)
+            rb, ab = _structural_bounds(self.constraints, kind, n, m)
+            adm.removal_blocked[c] = rb
+            adm.addition_blocked[c] = ab
+            if rb or ab:
+                live &= ~np.where(ctx.cand_member, rb, ab)
+            adm.live[c] = live
+            adm.versions[c] = state.stamp[c]
 
     def _best_action_lazy(
         self, lanes: _LaneSet, kind: str, index: int

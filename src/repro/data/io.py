@@ -105,27 +105,42 @@ def load_matrix_csv(
         First row holds column labels.
     row_labels:
         First column holds row labels.
+
+    Raises
+    ------
+    ValueError
+        ``"<path>:<line>: <reason>"`` for a data row whose cell count
+        differs from the first data row's, or a cell that is neither a
+        number nor a missing-value token.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty CSV file")
     col_names: Optional[List[str]] = None
     if header:
-        head = rows.pop(0)
+        _, head = rows.pop(0)
         col_names = head[1:] if row_labels else head
     if not rows:
         raise ValueError(f"{path}: CSV has a header but no data rows")
     row_names: Optional[List[str]] = [] if row_labels else None
     data: List[List[float]] = []
-    for row in rows:
+    width = len(rows[0][1])
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(
+                f"{path}:{line}: expected {width} cells, got {len(row)}"
+            )
         if row_labels:
             row_names.append(row[0])
             cells = row[1:]
         else:
             cells = row
-        data.append([_parse_cell(cell) for cell in cells])
+        try:
+            data.append([_parse_cell(cell) for cell in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
     return DataMatrix(data, row_names, col_names)
 
 
@@ -133,7 +148,10 @@ def _parse_cell(cell: str) -> float:
     text = cell.strip()
     if text == "" or text.upper() in ("NA", "NAN", "NULL"):
         return float("nan")
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {cell!r}") from None
 
 
 def load_ratings_triples(

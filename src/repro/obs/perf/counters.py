@@ -9,32 +9,34 @@ analysis:
 ``residue_evals``
     Exact residue recomputations of a cluster submatrix: one per
     :meth:`~repro.core.floc._State.refresh_cluster` of a non-empty
-    cluster and one per :class:`~repro.core.gain_engine.ExactContext`
-    build (each context re-derives its cluster's residue from the
-    sufficient statistics).  The O(n*m) unit.
+    cluster and one per sorted-table build of a
+    :class:`~repro.core.gain_engine.ExactContext` (the table re-derives
+    its cluster's residue terms from every specified cell; the context
+    header alone counts nothing).  The O(n*m) unit.
 ``cells_scanned``
     Specified cells whose residue contribution was computed, summed
-    over every evaluation: cluster volumes for full scans and context
+    over every evaluation: cluster volumes for full scans and table
     builds, the toggled line's specified-cell count per candidate
-    elsewhere (a lane adds its candidates' line counts, so a block
-    build adds only the selected slots').  The finest-grained cost
-    unit -- directly comparable to the paper's "matrix volume x k"
-    scaling claim.
+    elsewhere (a lane or admission pass adds its candidates' line
+    counts, so a block build adds only the selected slots').  The
+    finest-grained cost unit -- directly comparable to the paper's
+    "matrix volume x k" scaling claim.
 ``toggle_evals``
     Candidate toggle evaluations of any mode: one per single-candidate
     :func:`~repro.core.gain_engine.exact_one` call, and the n_out
-    candidates of every estimate or exact lane build (S for a full
-    lane, the block size for a windowed rebuild).
+    candidates of every estimate lane, exact lane or admission pass
+    (S for a full lane or pass, the block size for a windowed rebuild).
 ``batch_evals``
     Vectorized candidate evaluations: one per gain-engine lane build,
-    estimate or exact (all scored slots of one cluster).  The
-    amortization unit: the more ``toggle_evals`` each ``batch_eval``
-    carries, the better batched.
+    estimate or exact, and one per admission pass (all scored slots of
+    one cluster).  The amortization unit: the more ``toggle_evals``
+    each ``batch_eval`` carries, the better batched.
 ``lane_builds``
     Sorted-residual lane constructions of the batched *exact* scorer
     (:func:`~repro.core.gain_engine.exact_lane`), full
     or block-windowed -- the O(volume log n) unit that replaced exact
-    mode's per-candidate submatrix rescans.
+    mode's per-candidate submatrix rescans.  Admission passes are not
+    lane builds, so admission-filtered runs report zero.
 ``toggles``
     Membership bits actually flipped (including best-prefix replay).
 ``sweeps``

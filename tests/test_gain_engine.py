@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.gain_engine as ge
+from repro.core.constraints import Constraints
 from repro.core.floc import _State, _gain, floc
 from repro.core.gain_engine import GainEngine, gain_lane
 from repro.core.seeding import bernoulli_seeds
 from repro.data.synthetic import generate_embedded
+from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.obs.perf.counters import WorkCounters
 
 from .oracles import candidate_parts_batch, exact_candidate
@@ -48,10 +50,10 @@ def matrices_with_missing(min_side=3, max_side=10):
     )
 
 
-def make_state(values, seed, k, work=None):
+def make_state(values, seed, k, work=None, p=0.4):
     mask = ~np.isnan(values)
     rng = np.random.default_rng(seed)
-    seeds = bernoulli_seeds(values.shape[0], values.shape[1], k, 0.4, rng)
+    seeds = bernoulli_seeds(values.shape[0], values.shape[1], k, p, rng)
     return _State(values, mask, seeds, work=work)
 
 
@@ -80,8 +82,6 @@ class TestExactLaneOracle:
     def test_chosen_action_matches_oracle_argmax(self, values, seed, k):
         """best_action's winner == argmax of per-action oracle gains."""
         state = make_state(values, seed, k)
-        from repro.core.constraints import Constraints
-
         engine = GainEngine(
             state, Constraints(min_rows=1, min_cols=1),
             alpha=0.0, residue_target=None, gain_mode="exact",
@@ -233,6 +233,94 @@ class TestGainLane:
             assert lane[i] == scalar, (i, lane[i], scalar)
 
 
+# -- admission filter: pruned candidates never have a positive gain ----
+
+
+class TestAdmissionBound:
+    @given(
+        matrices_with_missing(),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.floats(0.1, 0.7),
+        st.floats(0.05, 2.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pruned_candidates_have_nonpositive_gain(
+        self, values, seed, k, p, target_scale
+    ):
+        """Every candidate the admission pass prunes has gain <= 0.
+
+        Small seeds (low ``p``) put clusters at the structural floor
+        (one row or column, emptying removals); the target is scaled
+        around the median cluster residue so feasible and infeasible
+        clusters both occur.
+        """
+        state = make_state(values, seed, k, p=p)
+        scale = float(np.median(state.residues))
+        target = max(scale * target_scale, 1e-6)
+        for kind in ("row", "col"):
+            for c in range(k):
+                ctx = ge._exact_header(state, kind, c)
+                pruned = ge._admission_prunable(state, ctx, target)
+                lane = ge.exact_lane(state, kind, c)
+                member = (
+                    state.row_member[c] if kind == "row"
+                    else state.col_member[c]
+                )
+                gains = gain_lane(
+                    float(state.residues[c]), int(state.volumes[c]),
+                    lane.new_residues, lane.new_volumes, target,
+                    lane.line_residues, ~member,
+                )
+                assert (gains[pruned] <= 0.0).all(), (kind, c)
+
+    @given(
+        matrices_with_missing(),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.floats(0.1, 0.7),
+        st.floats(0.05, 2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_consult_is_the_lane_consult_when_positive(
+        self, values, seed, k, p, target_scale
+    ):
+        """Consult contract of the filtered path: the lane engine's
+        choice when its gain is positive, ``None`` otherwise."""
+        state = make_state(values, seed, k, p=p)
+        target = max(float(np.median(state.residues)) * target_scale, 1e-6)
+        constraints = Constraints(min_rows=2, min_cols=2)
+        lanes = GainEngine(state, constraints, 0.0, target, "exact")
+        filtered = GainEngine(
+            state, constraints, 0.0, target, "exact", mandatory_moves=False
+        )
+        for kind in ("row", "col"):
+            size = values.shape[0] if kind == "row" else values.shape[1]
+            for index in range(size):
+                want = lanes.best_action(kind, index)
+                if want is not None and want[3] <= 0.0:
+                    want = None
+                assert filtered.best_action(kind, index) == want
+
+    def test_admission_pass_prunes_most_planted_candidates(self):
+        """The bound is not vacuous: on a planted matrix most of a
+        consult's candidates are pruned."""
+        dataset = generate_embedded(
+            120, 24, 3, cluster_shape=(15, 7), noise=1.0, rng=5
+        )
+        values = dataset.matrix.values
+        state = make_state(values, 3, 4, p=0.3)
+        target = 2.0 * dataset.embedded_average_residue()
+        pruned = total = 0
+        for kind in ("row", "col"):
+            for c in range(4):
+                ctx = ge._exact_header(state, kind, c)
+                mask = ge._admission_prunable(state, ctx, target)
+                pruned += int(mask.sum())
+                total += mask.size
+        assert pruned > total // 2
+
+
 # -- WorkCounters accounting rules -------------------------------------
 
 
@@ -254,6 +342,31 @@ class TestCounterAccounting:
         assert work.cells_scanned == before.cells_scanned + ctx.volume
         assert work.toggle_evals == before.toggle_evals
         assert work.batch_evals == before.batch_evals
+
+    def test_header_counts_nothing_and_table_one_residue_eval(self):
+        work = WorkCounters()
+        state = self._payload(work)
+        before = work.copy()
+        ctx = ge._exact_header(state, "col", 1)
+        assert work == before
+        ge._sort_table(state, ctx)
+        assert work.residue_evals == before.residue_evals + 1
+        assert work.cells_scanned == before.cells_scanned + ctx.volume
+        assert work.batch_evals == before.batch_evals
+
+    def test_admission_pass_counts_like_a_lane_candidate_scan(self):
+        work = WorkCounters()
+        state = self._payload(work)
+        ctx = ge._exact_header(state, "row", 0)
+        before = work.copy()
+        ge._admission_prunable(state, ctx, 1.0)
+        assert work.batch_evals == before.batch_evals + 1
+        assert work.toggle_evals == before.toggle_evals + 60
+        assert work.cells_scanned == (
+            before.cells_scanned + int(ctx.line_counts.sum())
+        )
+        assert work.residue_evals == before.residue_evals
+        assert work.lane_builds == before.lane_builds
 
     def test_exact_lane_counts_batch_and_per_slot_toggles(self):
         work = WorkCounters()
@@ -308,9 +421,16 @@ def _fingerprint(res):
 
 
 class _EagerEngine(GainEngine):
-    """Engine with lazy-scalar consults and block windows disabled."""
+    """Reference engine: full eager lanes at every consult.
+
+    Lazy-scalar consults, block windows and the admission filter are
+    all disabled (the engine is told every move is mandatory, so it
+    returns negative gains; ``floc`` still skips them when its own
+    ``mandatory_moves`` is off).
+    """
 
     def __init__(self, *args, **kwargs):
+        kwargs["mandatory_moves"] = True
         super().__init__(*args, **kwargs)
         self._lazy_kinds = frozenset()
 
@@ -323,17 +443,65 @@ class TestRunIdentity:
     def test_lazy_block_engine_bit_identical_to_eager(
         self, gain_mode, monkeypatch
     ):
+        # mandatory_moves keeps the admission filter off, so the exact
+        # run exercises lazy consults and block windows.
         dataset = generate_embedded(
             250, 30, 4, cluster_shape=(20, 8), noise=1.0, rng=0
         )
         kwargs = dict(
             gain_mode=gain_mode, residue_target=2.0,
-            max_iterations=12, rng=7,
+            max_iterations=12, rng=7, mandatory_moves=True,
         )
         cached = floc(dataset.matrix, 8, **kwargs)
         monkeypatch.setattr(ge, "GainEngine", _EagerEngine)
         eager = floc(dataset.matrix, 8, **kwargs)
         assert _fingerprint(cached) == _fingerprint(eager)
+
+    @pytest.mark.parametrize("ordering", ["weighted", "greedy", "random"])
+    @pytest.mark.parametrize("missing", [0.0, 0.2])
+    def test_admission_filter_bit_identical_to_full_lanes(
+        self, missing, ordering, monkeypatch
+    ):
+        dataset = generate_embedded(
+            250, 30, 4, cluster_shape=(20, 8), noise=1.0,
+            missing_fraction=missing, rng=0,
+        )
+        kwargs = dict(
+            ordering=ordering, residue_target=2.0, reseed_rounds=2,
+            max_iterations=12, rng=7,
+        )
+        filtered_work, eager_work = WorkCounters(), WorkCounters()
+        filtered = floc(dataset.matrix, 8, work=filtered_work, **kwargs)
+        monkeypatch.setattr(ge, "GainEngine", _EagerEngine)
+        eager = floc(dataset.matrix, 8, work=eager_work, **kwargs)
+        assert _fingerprint(filtered) == _fingerprint(eager)
+        assert filtered.history == eager.history
+        assert filtered_work.lane_builds == 0 < eager_work.lane_builds
+
+    def test_blocked_action_count_matches_full_lanes(self, monkeypatch):
+        """``actions_blocked_by_constraint`` keeps its meaning on the
+        filtered path: structurally blocked (slot, cluster) pairs per
+        consult, pruned or not."""
+        dataset = generate_embedded(
+            120, 24, 3, cluster_shape=(15, 7), noise=1.0, rng=2
+        )
+        kwargs = dict(
+            residue_target=2.0, max_iterations=8, rng=3,
+            constraints=Constraints(min_rows=3, min_cols=3, max_volume=120),
+        )
+
+        def blocked_count():
+            tracer = Tracer(sinks=[RingBufferSink()], metrics=MetricsRegistry())
+            result = floc(dataset.matrix, 6, tracer=tracer, **kwargs)
+            return _fingerprint(result), result.metrics["counters"].get(
+                "actions_blocked_by_constraint", 0
+            )
+
+        filtered = blocked_count()
+        monkeypatch.setattr(ge, "GainEngine", _EagerEngine)
+        eager = blocked_count()
+        assert filtered == eager
+        assert filtered[1] > 0
 
     def test_cached_engine_matches_fresh_engine(self):
         rng = np.random.default_rng(11)
@@ -341,7 +509,6 @@ class TestRunIdentity:
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(50, 15, 3, 0.3, rng)
         state = _State(values, mask, seeds, work=None)
-        from repro.core.constraints import Constraints
 
         def new_engine():
             return GainEngine(

@@ -88,6 +88,24 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="no data"):
             load_matrix_csv(path, header=True)
 
+    @pytest.mark.parametrize(
+        "text, header, line, reason",
+        [
+            ("1,2,3\n4,5\n", False, 2, "expected 3 cells, got 2"),
+            ("a,b\n1,2\n\n3,4,5\n", True, 4, "expected 2 cells, got 3"),
+            ("1,2\n3,abc\n", False, 2, "not a number: 'abc'"),
+            ("a,b\n1,2\n3,4\n5,x1\n", True, 4, "not a number: 'x1'"),
+        ],
+    )
+    def test_malformed_rows_name_file_and_line(
+        self, tmp_path, text, header, line, reason
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_matrix_csv(path, header=header)
+        assert str(info.value) == f"{path}:{line}: {reason}"
+
 
 class TestRatingsTriples:
     """The MovieLens u.data format: 'user item rating timestamp'."""

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.actions import evaluate_toggle
-from repro.core.gain_engine import (
-    _BLOCK, estimate_lane, exact_context, exact_lane,
-)
+from repro.core.gain_engine import estimate_lane, exact_context, exact_lane
 from repro.core.residue import mean_abs_residue
 from repro.obs.perf.workloads import make_primitives_payload
 
@@ -50,15 +48,6 @@ def test_exact_lane_full(benchmark, payload):
     __, __, __, state = payload
     lane = benchmark(exact_lane, state, "row", 0)
     assert lane.new_residues.shape == (600,)
-    assert np.isfinite(lane.new_residues).all()
-
-
-def test_exact_lane_block(benchmark, payload):
-    __, __, __, state = payload
-    ctx = exact_context(state, "row", 0)
-    sel = np.arange(_BLOCK, dtype=np.intp)
-    lane = benchmark(exact_lane, state, "row", 0, sel=sel, ctx=ctx)
-    assert lane.new_residues.shape == (_BLOCK,)
     assert np.isfinite(lane.new_residues).all()
 
 

@@ -26,7 +26,7 @@ import math
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -78,13 +78,36 @@ __all__ = [
 ]
 
 
+_T = TypeVar("_T")
+
+
+class _InputError(Exception):
+    """A bad input file.  :func:`main` prints it as ``repro <cmd>:
+    error: <path>[:line]: <reason>`` and exits 2."""
+
+
+def _read_input(load: Callable[[str], _T], path: str) -> _T:
+    """``load(path)``, turning a missing, unreadable or malformed file
+    into an :class:`_InputError` that names the path."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        reason = str(exc)
+        # The CSV loaders already prefix ``<path>:<line>:``.
+        if not reason.startswith(path):
+            reason = f"{path}: {reason}"
+        raise _InputError(reason) from None
+
+
 def _load_matrix(path: str) -> DataMatrix:
     suffix = Path(path).suffix.lower()
     if suffix == ".npz":
-        return load_matrix_npz(path)
+        return _read_input(load_matrix_npz, path)
     if suffix == ".csv":
-        return load_matrix_csv(path, header=False)
-    raise SystemExit(f"unsupported matrix format: {path} (use .npz or .csv)")
+        return _read_input(lambda p: load_matrix_csv(p, header=False), path)
+    raise _InputError(f"{path}: unsupported matrix format (use .npz or .csv)")
 
 
 def _checked(
@@ -103,10 +126,12 @@ def _checked(
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE_FLOAT = _checked(
     float, lambda v: math.isfinite(v) and v > 0, "a positive finite number"
 )
 _PROBABILITY = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +274,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     ``docs/ROBUSTNESS.md``).  Exit code 3 signals graceful degradation:
     some restarts were lost after exhausting retries.
     """
-    try:
-        matrix = _load_matrix(args.matrix)
-    except ValueError as exc:
-        print(f"repro mine: error: {exc}", file=sys.stderr)
-        return 2
+    matrix = _load_matrix(args.matrix)
     supervised = (
         args.workers is not None
         or args.task_timeout is not None
@@ -333,7 +354,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score stored clusters against a matrix (and optional truth)."""
     matrix = _load_matrix(args.matrix)
-    clusters = load_clusters(args.clusters)
+    clusters = _read_input(load_clusters, args.clusters)
     rows = [
         [
             index,
@@ -351,7 +372,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         title=f"{len(clusters)} clusters against {args.matrix}",
     ))
     if args.truth:
-        truth = load_clusters(args.truth)
+        truth = _read_input(load_clusters, args.truth)
         scores = recall_precision(truth, clusters, matrix.shape)
         print(f"\nrecall    = {scores.recall:.3f}")
         print(f"precision = {scores.precision:.3f}")
@@ -362,7 +383,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     """Predict one cell's value from the clusters covering it."""
     matrix = _load_matrix(args.matrix)
-    clusters = load_clusters(args.clusters)
+    clusters = _read_input(load_clusters, args.clusters)
     covering = [
         c for c in clusters if c.contains(args.row, args.col)
     ]
@@ -804,13 +825,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--k", type=_POSITIVE_INT, default=10)
     mine.add_argument("--restarts", type=_POSITIVE_INT, default=2)
     mine.add_argument("--max-clusters", type=int, default=None)
-    mine.add_argument("--min-rows", type=int, default=3)
-    mine.add_argument("--min-cols", type=int, default=3)
-    mine.add_argument("--alpha", type=float, default=0.0,
+    mine.add_argument("--min-rows", type=_POSITIVE_INT, default=3)
+    mine.add_argument("--min-cols", type=_POSITIVE_INT, default=3)
+    mine.add_argument("--alpha", type=_FRACTION, default=0.0,
                       help="occupancy threshold (Definition 3.1)")
     mine.add_argument("--p", type=_PROBABILITY, default=0.2,
                       help="Phase-1 seed inclusion probability")
-    mine.add_argument("--reseed-rounds", type=int, default=10)
+    mine.add_argument("--reseed-rounds", type=_NON_NEGATIVE_INT, default=10)
     mine.add_argument("--seed", type=int, default=None)
     mine.add_argument("--out", default=None, help="write clusters here")
     mine.add_argument("--trace", default=None, metavar="PATH",
@@ -829,11 +850,12 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--workers", type=_POSITIVE_INT, default=None,
                          metavar="N",
                          help="worker processes for parallel restarts")
-    runtime.add_argument("--task-timeout", type=float, default=None,
+    runtime.add_argument("--task-timeout", type=_POSITIVE_FLOAT, default=None,
                          metavar="SECONDS",
                          help="per-restart time budget; stragglers are "
                               "terminated and retried")
-    runtime.add_argument("--max-retries", type=int, default=None, metavar="N",
+    runtime.add_argument("--max-retries", type=_NON_NEGATIVE_INT, default=None,
+                         metavar="N",
                          help="retry budget per restart (default 2)")
     runtime.add_argument("--run-dir", default=None, metavar="DIR",
                          help="checkpoint directory (manifest + per-restart "
@@ -995,7 +1017,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -486,6 +486,8 @@ def floc(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    if reseed_rounds < 0:
+        raise ValueError(f"reseed_rounds must be >= 0, got {reseed_rounds}")
     generator = resolve_rng(rng)
     active = constraints if constraints is not None else Constraints()
     if tracer is None:
@@ -622,10 +624,6 @@ def _phase2(
         iteration_start: Optional[dict] = None
         with tracer.span("ordering", scheme=ordering):
             order = _ordered_slots(engine, slots, ordering, generator)
-        # The sweep consults ``order`` front to back; registering it
-        # lets the engine rebuild dirtied wide lanes for just the next
-        # block of consult positions instead of every slot.
-        engine.begin_sweep(order)
         performed: List[_PerformedAction] = []
         iter_best = np.inf
         iter_best_idx = -1

@@ -27,22 +27,18 @@ Three layers (see DESIGN.md section "Batched gain engine"):
     lane of gains with blocked entries at ``-inf`` in O(S) vector work.
 
 **The engine** (:class:`GainEngine`)
-    Caches lanes per (kind, cluster) and invalidates them by comparing
-    the state's per-cluster modification stamps -- a performed action
-    dirties only the acted cluster's lanes, so a sweep costs a few lane
-    builds instead of k * (M + N) scalar evaluations, while every
-    consult still scores against the *current* state (sequential
-    semantics are preserved bit for bit; the paranoia-mode test in
-    ``tests/test_gain_engine.py`` rebuilds every lane at every consult
-    and checks the full run is identical).
-
-    When only positive gains will be performed (exact r-residue mode,
-    ``mandatory_moves=False``, no alpha or cross-cluster constraint),
-    the engine builds no lane at all: a per-epoch *admission pass*
-    prunes every candidate whose gain the ``_gain`` ladder bounds at
-    <= 0 (misfit additions, fitting removals from feasible clusters),
-    and a consult scores only the rest, with :func:`exact_one`.
-    Lazy consults and block windows serve the other exact runs.
+    Two consult policies.  When only positive gains will be performed
+    (exact r-residue mode, ``mandatory_moves=False``, no alpha or
+    cross-cluster constraint) the engine builds no lane at all: a
+    per-epoch *admission pass* prunes every candidate whose gain the
+    ``_gain`` ladder bounds at <= 0 (misfit additions, fitting removals
+    from feasible clusters), and a consult scores only the rest, with
+    :func:`exact_one`.  Every other run consults *eager lanes*, cached
+    per (kind, cluster) and invalidated by comparing the state's
+    per-cluster modification stamps: a performed action dirties only
+    the acted cluster's lanes, which are rebuilt in full at the next
+    consult.  Either way every consult scores against the *current*
+    state, so sequential semantics are preserved bit for bit.
 
 Cross-cluster constraints (Cons_o overlap, Cons_c coverage) and the
 exact alpha-occupancy check depend on *other* clusters' state, so they
@@ -245,13 +241,7 @@ def _centred_line_residues(
 
 # -- scoring: exact lane, sorted-prefix SAD over centred residuals -----
 
-def exact_lane(
-    state: "_State",
-    kind: str,
-    c: int,
-    sel: Optional[np.ndarray] = None,
-    ctx: Optional[ExactContext] = None,
-) -> LaneScores:
+def exact_lane(state: "_State", kind: str, c: int) -> LaneScores:
     """True after-toggle residue of every slot, without rescans.
 
     Derivation (row lane; column lanes run the same code on the
@@ -267,29 +257,16 @@ def exact_lane(
     contribute ``+-sum_j |E_ij - t'_j|`` on top.
 
     The candidate-independent half (gathers, bases, sorted table)
-    lives in :func:`exact_context` and may be passed in via ``ctx``
-    to amortise it across several builds of one cluster epoch.
-    ``sel`` restricts the candidate block to a subset of slots (in
-    ``sel`` order): every per-candidate value is bit-identical to
-    the corresponding entry of the full lane, because all candidate
-    arrays are C-contiguous row blocks and every per-candidate
-    reduction runs over one contiguous length-``m`` row either way.
+    is :func:`exact_context`, shared with :func:`exact_one`.
     """
-    if ctx is None:
-        ctx = exact_context(state, kind, c)
+    ctx = exact_context(state, kind, c)
     volume = ctx.volume
     residue = ctx.residue
     m = ctx.m
-    if sel is None:
-        removing = ctx.cand_member
-        line_sums = ctx.line_sums
-        line_counts = ctx.line_counts
-        line_counts_f = ctx.line_counts_f
-    else:
-        removing = ctx.cand_member[sel]
-        line_sums = ctx.line_sums[sel]
-        line_counts = ctx.line_counts[sel]
-        line_counts_f = ctx.line_counts_f[sel]
+    removing = ctx.cand_member
+    line_sums = ctx.line_sums
+    line_counts = ctx.line_counts
+    line_counts_f = ctx.line_counts_f
     n_out = line_counts.size
 
     lcpos = line_counts > 0
@@ -320,18 +297,12 @@ def exact_lane(
         )
 
     sign = np.where(removing, -1.0, 1.0)
-    # C-contiguous gathers of the base-member columns, full or
-    # ``sel``-restricted: either way each candidate occupies one
-    # contiguous length-m row, so every per-candidate reduction
-    # accumulates identically (bit for bit) in both shapes.
+    # C-contiguous gathers of the base-member columns: each candidate
+    # occupies one contiguous length-m row, so every per-candidate
+    # reduction accumulates exactly as :func:`exact_one`'s does.
     jidx = ctx.jidx
-    if sel is None:
-        sub_filled = ctx.filled.take(jidx, axis=1)    # (n_out, m)
-        sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
-    else:
-        cells = np.ix_(sel, jidx)
-        sub_filled = ctx.filled[cells]
-        sub_mask_f = ctx.mask[cells].astype(np.float64)
+    sub_filled = ctx.filled.take(jidx, axis=1)        # (n_out, m)
+    sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
     base_counts_f = ctx.base_counts_f
 
     lden = np.maximum(line_counts_f, 1.0)
@@ -422,15 +393,14 @@ def exact_lane(
 # -- scoring: one candidate, lane-identical arithmetic -----------------
 
 def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
-    """Candidate-independent half of a scalar exact evaluation.
+    """Candidate-independent half of an exact evaluation.
 
     Everything here depends only on the cluster's current state, so
-    the engine caches one context per (kind, cluster) modification
-    epoch and amortises the O(V log n) table build over every
-    :func:`exact_one` of the epoch.  Equal to
+    one context serves every :func:`exact_one` of a (kind, cluster)
+    modification epoch (:func:`exact_lane` builds its own).  Equal to
     :func:`_exact_header` followed by :func:`_sort_table`; the
-    admission-filtered consult path builds the two halves separately,
-    sorting only once a candidate of the epoch needs exact scoring.
+    admission-filtered consult path caches the header per epoch and
+    sorts only once a candidate of the epoch needs exact scoring.
     """
     ctx = _exact_header(state, kind, c)
     _sort_table(state, ctx)
@@ -601,12 +571,12 @@ def exact_one(
     **bit-identical** to the ``index`` entries of
     :func:`exact_lane`'s output arrays.  Every expression mirrors
     the lane's op tree exactly (same sorted-prefix SAD formula, same
-    reduction shapes and layouts), so the engine may serve a consult
-    from either path interchangeably; the lazy-vs-eager run-identity
-    test in ``tests/test_gain_engine.py`` depends on it.  With a
-    cached ``ctx`` the cost is O(m) -- cheaper than the lane's O(S)
-    candidate block whenever only a few of the S slots are consulted
-    before the cluster changes again.
+    reduction shapes and layouts), so an admission-filtered consult
+    picks bit for bit the action an eager lane consult would; the
+    run-identity tests in ``tests/test_gain_engine.py`` depend on it.
+    With a cached ``ctx`` the cost is O(m): the filtered path scores
+    only the few candidates the admission pass leaves live, instead
+    of the lane's O(S) candidate block.
     """
     if ctx is None:
         ctx = exact_context(state, kind, c)
@@ -793,28 +763,11 @@ def _overlap_blocked(
 
 # -- the engine --------------------------------------------------------
 
-#: Ski-rental threshold of the lazy exact path: after this many scalar
-#: ``exact_one`` evaluations of one cluster within one modification
-#: epoch, the engine stops renting and buys the full lane (a lane build
-#: costs a handful of scalar evals; most epochs see far fewer consults).
-_LAZY_PROMOTE = 7
-
-#: Candidate-block width of windowed exact lane rebuilds.  When the
-#: sweep's consult order is registered (:meth:`GainEngine.begin_sweep`),
-#: a dirtied wide lane is rebuilt only for the next ``_BLOCK`` slots in
-#: consult order -- the candidate block is the expensive half of a lane
-#: build, and on action-dense sweeps only a handful of its S entries
-#: are ever consulted before the cluster changes again.
-_BLOCK = 128
-
-
 class _LaneSet:
     """Per-kind cache of lanes: scores, gains, per-cluster versions."""
 
     __slots__ = (
-        "scores", "raw", "proxy", "versions", "move",
-        "best_gain", "rev_seen", "lazy", "ctx",
-        "full", "win_start", "win_end", "win_floor",
+        "scores", "raw", "proxy", "versions", "move", "best_gain", "rev_seen",
     )
 
     def __init__(self, k: int, size: int) -> None:
@@ -828,26 +781,6 @@ class _LaneSet:
         #: O(1) scalar check that skips the per-cluster stamp compare on
         #: the (common) consults where nothing changed.
         self.rev_seen = -1
-        #: Clusters whose lane rebuild is deferred: cluster -> number of
-        #: scalar ``exact_one`` evaluations served this epoch (their
-        #: ``raw`` rows are BLOCKED_GAIN-filled; consults merge scalar
-        #: evals in).  Only ever populated on exact move lanes of a
-        #: minority kind -- see ``GainEngine._lazy_kinds``.
-        self.lazy: Dict[int, int] = {}
-        #: Cached ``ExactContext`` per deferred/windowed cluster,
-        #: dropped with the epoch (same keying as ``versions``).
-        self.ctx: Dict[int, ExactContext] = {}
-        #: Block-window bookkeeping (consult-position space, see
-        #: ``GainEngine.begin_sweep``): a cluster's lane entries are
-        #: valid either everywhere (``full``) or on the half-open
-        #: position window ``[win_start, win_end)`` of the registered
-        #: sweep order.  ``win_floor`` is the smallest pending window
-        #: end -- the O(1) "does any window expire by position t?"
-        #: check of the block consult path.
-        self.full = np.zeros(k, dtype=bool)
-        self.win_start = np.zeros(k, dtype=np.intp)
-        self.win_end = np.zeros(k, dtype=np.intp)
-        self.win_floor = 0
 
 
 class _Admission:
@@ -875,21 +808,21 @@ class _Admission:
 
 
 class GainEngine:
-    """Scores all candidate actions of a sweep from cached lanes.
+    """Scores all candidate actions of a sweep under one consult policy.
 
-    One engine serves one :func:`~repro.core.floc._phase2` call.  Lanes
-    are rebuilt lazily when the state's per-cluster modification stamp
-    moves past the cached version -- a performed action therefore costs
-    two lane rebuilds (its cluster's row and column lanes) at the next
-    consult instead of a full sweep rescore.
+    One engine serves one :func:`~repro.core.floc._phase2` call.
 
     ``mandatory_moves`` is the caller's move policy.  With it off (the
     :func:`~repro.core.floc.floc` default) only positive gains are
     performed, so on the cheap exact r-residue path the engine skips
     lanes altogether: an admission pass prunes the candidates whose
     gain is provably <= 0 and consults score the rest one at a time
-    (see :meth:`best_action`).  The default ``True`` keeps direct
-    callers' contract that negative gains are returned.
+    (see :meth:`best_action`).  Every other run consults eager lanes,
+    rebuilt in full when the state's per-cluster modification stamp
+    moves past the cached version -- a performed action therefore costs
+    two lane rebuilds (its cluster's row and column lanes) at the next
+    consult instead of a full sweep rescore.  The default ``True`` keeps
+    direct callers' contract that negative gains are returned.
     """
 
     def __init__(
@@ -910,7 +843,6 @@ class GainEngine:
         self.tracer = tracer
         n_rows = state.row_member.shape[1]
         n_cols = state.col_member.shape[1]
-        self._sizes = {ROW: n_rows, COL: n_cols}
         self._move = {ROW: _LaneSet(state.k, n_rows), COL: _LaneSet(state.k, n_cols)}
         if self.fast_mode:
             self._order = self._move
@@ -945,32 +877,6 @@ class GainEngine:
         #: Memo of the "already violating alpha" healing rule, keyed by
         #: the cluster's modification stamp.
         self._alpha_memo: Dict[int, Tuple[int, bool]] = {}
-        #: Kinds whose exact move lanes are rebuilt *lazily*: a stale
-        #: cluster's slots are scored one-at-a-time by ``exact_one`` at
-        #: consult time instead of eagerly all-S-at-once.  Worth it only
-        #: for a *minority* kind (lane width <= 1/4 of all slots):
-        #: consulted proportionally rarely, so a lane epoch often ends
-        #: after a handful of consults and the eager build is wasted.
-        #: Majority/wide kinds stay eager -- their epochs serve enough
-        #: consults that per-consult scalar merging (and per-epoch
-        #: :class:`ExactContext` sorted-table builds) costs more than
-        #: the one amortised lane build.  Exact cheap-path mode only --
-        #: fast mode's lanes fix the RNG stream (bit-identity), and the
-        #: expensive path's ordered consult walk wants whole columns.
-        if self.fast_mode or self._expensive:
-            self._lazy_kinds: frozenset = frozenset()
-        else:
-            total = n_rows + n_cols
-            self._lazy_kinds = frozenset(
-                kind for kind, size in self._sizes.items()
-                if size * 4 <= total
-            )
-        #: Per-kind consult order of the current sweep (and its inverse,
-        #: slot index -> consult position), registered by
-        #: :meth:`begin_sweep`.  ``None`` disables block windows for the
-        #: kind -- the safe default for direct ``best_action`` callers.
-        self._seq: Dict[str, Optional[np.ndarray]] = {ROW: None, COL: None}
-        self._pos: Dict[str, Optional[np.ndarray]] = {ROW: None, COL: None}
         from .floc import _gain  # deferred: floc imports this module
         self._scalar_gain = _gain
 
@@ -978,20 +884,11 @@ class GainEngine:
     def _member(self, kind: str, c: int) -> np.ndarray:
         return self.state.row_member[c] if kind == ROW else self.state.col_member[c]
 
-    def _build_lane(
-        self,
-        lanes: _LaneSet,
-        kind: str,
-        c: int,
-        exact: bool,
-        sel: Optional[np.ndarray] = None,
-        ctx: Optional[ExactContext] = None,
-    ) -> None:
+    def _build_lane(self, lanes: _LaneSet, kind: str, c: int, exact: bool) -> None:
         state = self.state
         if exact:
-            scores = exact_lane(state, kind, c, sel=sel, ctx=ctx)
+            scores = exact_lane(state, kind, c)
         else:
-            assert sel is None  # block windows are exact-mode only
             scores = estimate_lane(state, kind, c)
         member = self._member(kind, c)
         # ``width`` already counts the base axis; only the toggled axis
@@ -1000,7 +897,6 @@ class GainEngine:
             n, m = int(member.sum()), scores.width
         else:
             n, m = scores.width, int(member.sum())
-        removing = member if sel is None else member[sel]
         gains = gain_lane(
             float(state.residues[c]),
             int(state.volumes[c]),
@@ -1008,37 +904,24 @@ class GainEngine:
             scores.new_volumes,
             self.residue_target,
             scores.line_residues,
-            ~removing,
+            ~member,
         )
         rb, ab = _structural_bounds(self.constraints, kind, n, m)
         if rb or ab:
-            blocked = np.where(removing, rb, ab)
+            blocked = np.where(member, rb, ab)
             gains = np.where(blocked, BLOCKED_GAIN, gains)
-        if sel is None:
-            lanes.scores[c] = scores
-            lanes.raw[c] = gains
-            lanes.full[c] = True
-            lanes.win_start[c] = 0
-            lanes.win_end[c] = lanes.raw.shape[1]
-            if self.alpha > 0.0:
-                if lanes.proxy is None:
-                    lanes.proxy = np.zeros_like(lanes.raw, dtype=bool)
-                # The cheap occupancy proxy: a joining line must itself
-                # meet alpha on the cluster's current extent.
-                lanes.proxy[c] = (
-                    ~removing
-                    & (scores.width > 0)
-                    & (scores.line_counts < self.alpha * scores.width)
-                )
-        else:
-            # Scatter the block into the cluster's full-size store; the
-            # entries outside the window keep stale values that the
-            # block consult path never reads.
-            store = lanes.scores[c]
-            assert store is not None  # first builds are always full
-            store.new_residues[sel] = scores.new_residues
-            store.new_volumes[sel] = scores.new_volumes
-            lanes.raw[c][sel] = gains
+        lanes.scores[c] = scores
+        lanes.raw[c] = gains
+        if self.alpha > 0.0:
+            if lanes.proxy is None:
+                lanes.proxy = np.zeros_like(lanes.raw, dtype=bool)
+            # The cheap occupancy proxy: a joining line must itself
+            # meet alpha on the cluster's current extent.
+            lanes.proxy[c] = (
+                ~member
+                & (scores.width > 0)
+                & (scores.line_counts < self.alpha * scores.width)
+            )
         lanes.versions[c] = state.stamp[c]
 
     def _ensure(self, lanes: _LaneSet, kind: str, exact: bool) -> None:
@@ -1048,73 +931,13 @@ class GainEngine:
         stale = np.flatnonzero(lanes.versions != self.state.stamp)
         if stale.size == 0:
             return
-        defer = exact and kind in self._lazy_kinds
         for c in stale:
-            ci = int(c)
-            if defer and lanes.versions[ci] != -1:
-                # Rent before buying: blank the row and let consults
-                # score this cluster's slots scalar-at-a-time (initial
-                # builds stay eager -- every slot is about to be
-                # consulted by the first sweeps).
-                lanes.raw[ci].fill(BLOCKED_GAIN)
-                lanes.scores[ci] = None
-                lanes.versions[ci] = self.state.stamp[ci]
-                lanes.lazy[ci] = 0
-                lanes.ctx.pop(ci, None)
-                continue
-            self._build_lane(lanes, kind, ci, exact)
-            lanes.lazy.pop(ci, None)
-            lanes.ctx.pop(ci, None)
+            self._build_lane(lanes, kind, int(c), exact)
         if self.alpha > 0.0 and self.fast_mode and lanes.proxy is not None:
             lanes.move = np.where(lanes.proxy, BLOCKED_GAIN, lanes.raw)
         else:
             lanes.move = lanes.raw
         lanes.best_gain = None
-
-    def begin_sweep(self, order: Sequence[Tuple[str, int]]) -> None:
-        """Register a sweep's consult order, enabling block windows.
-
-        ``order`` must be the exact sequence of ``(kind, index)`` slots
-        the caller will pass to :meth:`best_action`, each slot exactly
-        once -- :func:`~repro.core.floc._phase2` consults the ordered
-        slots front to back, so a dirtied wide lane needs scores only
-        for the *next* ``_BLOCK`` consult positions, not all S slots.
-        Applies to exact cheap-path move lanes of non-lazy kinds wide
-        enough to amortise the window bookkeeping; every other path
-        (fast mode, the expensive constraint walk, direct consults
-        without a registered order) keeps full builds.  Scores are
-        bit-identical either way (the block evaluator is an exact slice
-        of the full lane), so enabling windows never changes results.
-        """
-        if self.fast_mode or self._expensive or self._admission is not None:
-            return
-        per_kind: Dict[str, List[int]] = {ROW: [], COL: []}
-        for kind, index in order:
-            per_kind[kind].append(index)
-        for kind in (ROW, COL):
-            size = self._sizes[kind]
-            seq_list = per_kind[kind]
-            if (
-                kind in self._lazy_kinds
-                or size < _BLOCK + _BLOCK // 2
-                or len(seq_list) != size
-            ):
-                self._seq[kind] = None
-                continue
-            seq = np.asarray(seq_list, dtype=np.intp)
-            pos = np.full(size, -1, dtype=np.intp)
-            pos[seq] = np.arange(size, dtype=np.intp)
-            if (pos < 0).any():  # not a permutation of every slot
-                self._seq[kind] = None
-                continue
-            self._seq[kind] = seq
-            self._pos[kind] = pos
-            lanes = self._move[kind]
-            # The new order voids every window (positions renumbered);
-            # full lanes stay valid -- their entries cover any order.
-            lanes.win_start.fill(0)
-            lanes.win_end.fill(0)
-            lanes.win_floor = 0
 
     # -- consult: best action for one slot -----------------------------
     def best_action(
@@ -1133,16 +956,8 @@ class GainEngine:
         if self._admission is not None:
             return self._best_action_filtered(kind, index)
         lanes = self._move[kind]
-        if (
-            not self.fast_mode
-            and not self._expensive
-            and self._seq[kind] is not None
-        ):
-            return self._best_action_block(lanes, kind, index)
         self._ensure(lanes, kind, exact=not self.fast_mode)
         if not self._expensive:
-            if lanes.lazy:
-                return self._best_action_lazy(lanes, kind, index)
             best_gain = lanes.best_gain
             if best_gain is None:
                 # Elementwise max over the k lanes is a fast contiguous
@@ -1253,148 +1068,6 @@ class GainEngine:
                 live &= ~np.where(ctx.cand_member, rb, ab)
             adm.live[c] = live
             adm.versions[c] = state.stamp[c]
-
-    def _best_action_lazy(
-        self, lanes: _LaneSet, kind: str, index: int
-    ) -> Optional[Tuple[int, float, int, float]]:
-        """Cheap-path consult with lazily-deferred clusters in the lane.
-
-        Fresh clusters answer from the cached lane (their deferred
-        peers' rows are BLOCKED_GAIN, so they never shadow); each
-        deferred cluster is scored for this one slot by ``exact_one``
-        with the identical arithmetic, so the merged column -- and
-        therefore the chosen action -- is bit-for-bit what an eager
-        rebuild would have produced.
-        """
-        state = self.state
-        column = lanes.move[:, index].copy()
-        details: Dict[int, Tuple[float, int]] = {}
-        for c in sorted(lanes.lazy):
-            count = lanes.lazy[c] + 1
-            if count >= _LAZY_PROMOTE:
-                # Consulted often this epoch: buy the lane after all.
-                self._build_lane(lanes, kind, c, exact=True)
-                del lanes.lazy[c]
-                lanes.ctx.pop(c, None)
-                lanes.best_gain = None
-                column[c] = lanes.move[c, index]
-                continue
-            lanes.lazy[c] = count
-            ctx = lanes.ctx.get(c)
-            if ctx is None:
-                ctx = lanes.ctx[c] = exact_context(state, kind, c)
-            new_res, new_vol, line_res = exact_one(state, kind, index, c, ctx)
-            details[c] = (new_res, new_vol)
-            removing = bool(self._member(kind, c)[index])
-            n = int(state.row_member[c].sum())
-            m = int(state.col_member[c].sum())
-            rb, ab = _structural_bounds(self.constraints, kind, n, m)
-            if rb if removing else ab:
-                column[c] = BLOCKED_GAIN
-                continue
-            column[c] = self._scalar_gain(
-                float(state.residues[c]),
-                int(state.volumes[c]),
-                new_res,
-                new_vol,
-                self.residue_target,
-                line_res,
-                not removing,
-            )
-        if self.tracer.enabled:
-            blocked = int((column == BLOCKED_GAIN).sum())
-            if blocked:
-                self.tracer.inc("actions_blocked_by_constraint", blocked)
-        gain = float(column.max())
-        if gain == BLOCKED_GAIN:
-            return None
-        c = int(np.argmax(column))
-        if c in details:
-            new_res, new_vol = details[c]
-        else:
-            scores = lanes.scores[c]
-            assert scores is not None
-            new_res = float(scores.new_residues[index])
-            new_vol = int(scores.new_volumes[index])
-        return c, new_res, new_vol, gain
-
-    def _best_action_block(
-        self, lanes: _LaneSet, kind: str, index: int
-    ) -> Optional[Tuple[int, float, int, float]]:
-        """Cheap-path consult against block-windowed lanes.
-
-        Invariant: after :meth:`_resync_block`, every cluster's lane is
-        valid at the consulted position (full, or inside its window),
-        so the column read below is exactly what an eager full rebuild
-        would have produced.  Positions only move forward within a
-        sweep (the :meth:`begin_sweep` contract), so entries behind the
-        current position are never read again.
-        """
-        state = self.state
-        t = int(self._pos[kind][index])
-        if lanes.rev_seen != state.rev or t >= lanes.win_floor:
-            self._resync_block(lanes, kind, t)
-        column = lanes.move[:, index]
-        if self.tracer.enabled:
-            blocked = int((column == BLOCKED_GAIN).sum())
-            if blocked:
-                self.tracer.inc("actions_blocked_by_constraint", blocked)
-        gain = float(column.max())
-        if gain == BLOCKED_GAIN:
-            return None
-        c = int(np.argmax(column))
-        scores = lanes.scores[c]
-        assert scores is not None
-        return (
-            c,
-            float(scores.new_residues[index]),
-            int(scores.new_volumes[index]),
-            gain,
-        )
-
-    def _resync_block(self, lanes: _LaneSet, kind: str, t: int) -> None:
-        """Make every cluster's lane valid at consult position ``t``.
-
-        Stale clusters rebuild a fresh ``_BLOCK``-wide window starting
-        at ``t`` (reusing the epoch's cached :class:`ExactContext` when
-        only the window expired); initial builds stay full -- the first
-        sweeps consult every slot.
-        """
-        state = self.state
-        lanes.rev_seen = state.rev
-        seq = self._seq[kind]
-        assert seq is not None
-        size = seq.size
-        stamp = state.stamp
-        floor = size + 1  # sentinel: no pending window expiry
-        for c in range(state.k):
-            if lanes.versions[c] == stamp[c]:
-                if lanes.full[c]:
-                    continue
-                end = int(lanes.win_end[c])
-                if t < end:
-                    if end < floor:
-                        floor = end
-                    continue
-            else:
-                lanes.ctx.pop(c, None)
-            if lanes.versions[c] == -1 or lanes.scores[c] is None:
-                self._build_lane(lanes, kind, c, exact=True)
-                continue
-            ctx = lanes.ctx.get(c)
-            if ctx is None:
-                ctx = lanes.ctx[c] = exact_context(state, kind, c)
-            end = min(t + _BLOCK, size)
-            self._build_lane(
-                lanes, kind, c, exact=True, sel=seq[t:end], ctx=ctx
-            )
-            lanes.full[c] = False
-            lanes.win_start[c] = t
-            lanes.win_end[c] = end
-            if end < floor:
-                floor = end
-        lanes.win_floor = floor
-        lanes.best_gain = None
 
     # -- consult-time (non-cacheable) blocking --------------------------
     def _consult_blocked(self, kind: str, index: int, c: int) -> bool:

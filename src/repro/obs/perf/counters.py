@@ -18,14 +18,13 @@ analysis:
     over every evaluation: cluster volumes for full scans and table
     builds, the toggled line's specified-cell count per candidate
     elsewhere (a lane or admission pass adds its candidates' line
-    counts, so a block build adds only the selected slots').  The
-    finest-grained cost unit -- directly comparable to the paper's
-    "matrix volume x k" scaling claim.
+    counts).  The finest-grained cost unit -- directly comparable to
+    the paper's "matrix volume x k" scaling claim.
 ``toggle_evals``
     Candidate toggle evaluations of any mode: one per single-candidate
     :func:`~repro.core.gain_engine.exact_one` call, and the n_out
     candidates of every estimate lane, exact lane or admission pass
-    (S for a full lane or pass, the block size for a windowed rebuild).
+    (S per lane or pass).
 ``batch_evals``
     Vectorized candidate evaluations: one per gain-engine lane build,
     estimate or exact, and one per admission pass (all scored slots of
@@ -33,10 +32,10 @@ analysis:
     each ``batch_eval`` carries, the better batched.
 ``lane_builds``
     Sorted-residual lane constructions of the batched *exact* scorer
-    (:func:`~repro.core.gain_engine.exact_lane`), full
-    or block-windowed -- the O(volume log n) unit that replaced exact
-    mode's per-candidate submatrix rescans.  Admission passes are not
-    lane builds, so admission-filtered runs report zero.
+    (:func:`~repro.core.gain_engine.exact_lane`) -- the O(volume log n)
+    unit that replaced exact mode's per-candidate submatrix rescans.
+    Admission passes are not lane builds, so admission-filtered runs
+    report zero.
 ``toggles``
     Membership bits actually flipped (including best-prefix replay).
 ``sweeps``

@@ -280,23 +280,6 @@ def _primitives_exact_lane(work: WorkCounters) -> Dict[str, object]:
     return {"reps": reps, "width": 600, "checksum": round(checksum, 9)}
 
 
-def _primitives_exact_lane_block(work: WorkCounters) -> Dict[str, object]:
-    from ...core.gain_engine import _BLOCK, exact_context, exact_lane
-
-    _, _, _, state = make_primitives_payload(work=work)
-    reps = 50
-    checksum = 0.0
-    for rep in range(reps):
-        # One context amortized over the sweep's block rebuilds -- the
-        # shape _resync_block drives during a real Phase 2 iteration.
-        ctx = exact_context(state, "row", 0)
-        for start in range(0, 600, _BLOCK):
-            sel = np.arange(start, min(start + _BLOCK, 600), dtype=np.intp)
-            lane = exact_lane(state, "row", 0, sel=sel, ctx=ctx)
-            checksum += float(lane.new_residues.sum())
-    return {"reps": reps, "block": _BLOCK, "checksum": round(checksum, 9)}
-
-
 def _primitives_estimate_lane(work: WorkCounters) -> Dict[str, object]:
     from ...core.gain_engine import estimate_lane
 
@@ -374,12 +357,6 @@ register_workload(
     "50 full exact-lane builds (600 row toggles batched per call)",
     ("primitives",),
     _primitives_exact_lane,
-)
-register_workload(
-    "primitives_exact_lane_block",
-    "50 sweeps of context-shared 128-slot block exact-lane builds",
-    ("primitives",),
-    _primitives_exact_lane_block,
 )
 register_workload(
     "primitives_estimate_lane",

@@ -104,11 +104,12 @@ class TestMineAndEvaluate:
         ])
         assert code == 0
 
-    def test_unsupported_format(self, tmp_path):
+    def test_unsupported_format(self, tmp_path, capsys):
         bad = tmp_path / "matrix.xlsx"
         bad.write_text("nope")
-        with pytest.raises(SystemExit, match="unsupported"):
-            main(["mine", str(bad), "--target", "1.0"])
+        assert main(["mine", str(bad), "--target", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro mine: error: {bad}: unsupported")
 
 
 class TestMineRejectsBadInput:
@@ -116,6 +117,12 @@ class TestMineRejectsBadInput:
         ("--p", "1.5", "in (0, 1]"),
         ("--workers", "0", "an integer >= 1"),
         ("--target", "-1", "a positive finite number"),
+        ("--alpha", "2", "in [0, 1]"),
+        ("--alpha", "nan", "in [0, 1]"),
+        ("--min-rows", "0", "an integer >= 1"),
+        ("--max-retries", "-1", "an integer >= 0"),
+        ("--task-timeout", "0", "a positive finite number"),
+        ("--reseed-rounds", "-1", "an integer >= 0"),
     ])
     def test_bad_flag_is_a_usage_error(
         self, workspace, capsys, flag, value, message
@@ -138,6 +145,45 @@ class TestMineRejectsBadInput:
         err = capsys.readouterr().err
         assert err.startswith("repro mine: error: ")
         assert "magnitude" in err
+
+
+class TestBadInputFiles:
+    """Every unreadable input file exits 2 with ``repro <cmd>: error:
+    <path>[:line]: <reason>`` -- never a traceback."""
+
+    @pytest.mark.parametrize("command", ["mine", "evaluate", "predict"])
+    @pytest.mark.parametrize("name, content, reason", [
+        ("missing.npz", None, "No such file or directory"),
+        ("missing.csv", None, "No such file or directory"),
+        ("matrix.xlsx", "nope", "unsupported matrix format"),
+        ("ragged.csv", "1,2,3\n4,5\n", "2: expected 3 cells, got 2"),
+    ])
+    def test_bad_matrix_file_exits_2(
+        self, workspace, capsys, command, name, content, reason
+    ):
+        tmp_path, __, truth_path = workspace
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        argv = {
+            "mine": ["mine", str(path), "--target", "1.0"],
+            "evaluate": ["evaluate", str(path), str(truth_path)],
+            "predict": [
+                "predict", str(path), str(truth_path),
+                "--row", "0", "--col", "0",
+            ],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: error: {path}")
+        assert reason in err
+
+    def test_missing_cluster_file_exits_2(self, workspace, capsys):
+        tmp_path, matrix_path, __ = workspace
+        missing = tmp_path / "missing.txt"
+        assert main(["evaluate", str(matrix_path), str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro evaluate: error: {missing}: No such file")
 
 
 class TestPredict:

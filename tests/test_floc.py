@@ -45,6 +45,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_iterations"):
             floc(self.matrix, 1, max_iterations=0)
 
+    def test_negative_reseed_rounds_rejected(self):
+        # A negative count used to compute zero Phase-2 rounds and
+        # return the unrefined Phase-1 seeds.
+        with pytest.raises(ValueError, match="reseed_rounds"):
+            floc(self.matrix, 1, residue_target=2.0, reseed_rounds=-1)
+
     def test_seed_count_checked(self):
         seeds = seeds_from_clusters(10, 6, [DeltaCluster((0, 1), (0, 1))])
         with pytest.raises(ValueError, match="seeds"):
